@@ -12,9 +12,14 @@ import (
 // arenas: once the arena is warm, a full structural label sweep — computeL,
 // expansion build, K-cut flow check and label update for every gate —
 // performs zero heap allocation. The sweep runs the TurboMap configuration
-// (Decompose off); resynthesis attempts and recording passes are documented
-// to allocate (cone truth tables, replica lists and cache keys outlive the
-// arena) and are pinned only indirectly through the benchmarks.
+// (Decompose off). Resynthesis attempts draw their cone tables, replica
+// list, priority orders, lookup key and every decomposition scratch table
+// from the arena too (the decomposer's miss path is pinned at zero by
+// decomp's TestDecomposeMissZeroAlloc); what they still allocate is what
+// outlives the attempt: the key string and tree of a new cache entry, the
+// canonical table of an NPN-memo miss, and the inverse-mapped tree and
+// replica copy of a successful decomposition. Recording passes allocate the
+// cover records they keep. Those are pinned only through the benchmarks.
 //
 // The property must hold in both observability configurations: with tracing
 // off, the obs hooks are single nil checks; with tracing on, every event is a

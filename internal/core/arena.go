@@ -24,9 +24,11 @@ type arena struct {
 	xb expand.Builder
 	ca cut.Arena
 
-	// coneFunction scratch, sized to the current expansion.
+	// coneFunction scratch, sized to the current expansion, and the cut's
+	// replica list it returns.
 	varOf []int // replica id -> cut variable, -1 inside the cone
 	memo  []*logic.TT
+	reps  []Replica
 
 	// tt recycles the transient truth tables of cone-function evaluation
 	// (Shannon cofactors, composition intermediates, per-replica memo
@@ -40,6 +42,12 @@ type arena struct {
 	// (canon, transform) by raw function. npnKey is the reusable key scratch.
 	npnMemo map[string]npnEntry
 	npnKey  []byte
+
+	// tryDecompose scratch: the bound-set priority order before and after
+	// the NPN transform, and the decomposition-cache key (a string is made
+	// from it only when an entry is stored).
+	prio, canonPrio []int
+	key             []byte
 
 	// sccIsolated scratch, sized to the circuit. (The per-component update
 	// lists iterateComp sweeps are precomputed CSR ranges in analysis, not
@@ -83,9 +91,10 @@ func (ar *arena) reset() {
 // (the Stats.ArenaPeakBytes high-water mark).
 func (ar *arena) bytes() int {
 	return ar.xb.Bytes() + ar.ca.Bytes() +
-		cap(ar.varOf)*8 + cap(ar.memo)*8 + ar.tt.Bytes() +
+		cap(ar.varOf)*8 + cap(ar.memo)*8 + cap(ar.reps)*16 + ar.tt.Bytes() +
 		cap(ar.reach) + cap(ar.rqueue)*8 +
-		len(ar.npnMemo)*npnEntryBytes + cap(ar.npnKey)
+		len(ar.npnMemo)*npnEntryBytes + cap(ar.npnKey) +
+		(cap(ar.prio)+cap(ar.canonPrio))*8 + cap(ar.key)
 }
 
 // npnEntry is one memoized canonicalization: the canonical table and the

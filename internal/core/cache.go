@@ -67,11 +67,13 @@ func (dc *decompCache) shardFor(key string) int {
 
 // lookup returns the cached outcome (entry.tree nil = cached failure) and
 // whether the key was present, charging the hit/miss to the calling run's
-// counter set.
-func (dc *decompCache) lookup(key string, conc *stats.Concurrency) (decompEntry, bool) {
-	sh := &dc.shards[dc.shardFor(key)]
+// counter set. The key is the caller's scratch: neither the hash
+// (maphash.Bytes equals maphash.String on the same bytes) nor the map index
+// m[string(key)] copies it.
+func (dc *decompCache) lookup(key []byte, conc *stats.Concurrency) (decompEntry, bool) {
+	sh := &dc.shards[maphash.Bytes(dc.seed, key)%decompCacheShards]
 	sh.mu.Lock()
-	entry, ok := sh.m[key]
+	entry, ok := sh.m[string(key)]
 	sh.mu.Unlock()
 	if ok {
 		conc.AddCacheHit()

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"turbosyn/internal/cut"
@@ -30,8 +31,8 @@ type coverRec struct {
 // every per-probe field, and the circuit-invariant analysis (an) is shared
 // read-only across every probe of the engine.
 type state struct {
-	c    *netlist.Circuit
-	an   *analysis
+	c  *netlist.Circuit
+	an *analysis
 	// pool, when non-nil, is the engine's arena pool: arenaFor checks
 	// worker arenas out of it instead of creating them, and checkinState
 	// returns them when the probe's state goes back to the engine.
@@ -789,12 +790,13 @@ func (s *state) tryDecompose(id, L int, st *Stats, ar *arena) (*decomp.Tree, []R
 		fn, reps := s.coneFunction(x, res, ar)
 		// Bound-set priority: earliest effective arrival first, so early
 		// signals sink toward the leaves (the paper's FlowSYN ordering).
-		prio := make([]int, len(reps))
-		for i := range prio {
-			prio[i] = i
+		prio := ar.prio[:0]
+		for i := range reps {
+			prio = append(prio, i)
 		}
+		ar.prio = prio
 		eff := func(r Replica) int { return s.labels[r.Orig] - s.phi*r.W }
-		sort.SliceStable(prio, func(a, b int) bool { return eff(reps[prio[a]]) < eff(reps[prio[b]]) })
+		slices.SortStableFunc(prio, func(a, b int) int { return cmp.Compare(eff(reps[a]), eff(reps[b])) })
 		// Decompose the NPN-canonical form of the cone function, with the
 		// priority order mapped through the same transform, and map the
 		// resulting tree back through the inverse. One cached canonical tree
@@ -804,13 +806,15 @@ func (s *state) tryDecompose(id, L int, st *Stats, ar *arena) (*decomp.Tree, []R
 		// function of the canonical key, warm results stay bit-identical to
 		// cold ones.
 		canon, ctr := ar.npnCanon(fn)
-		canonPrio := make([]int, len(prio))
-		for i, p := range prio {
-			canonPrio[i] = ctr.Perm[p]
+		ar.tt.Put(fn) // canon never aliases fn
+		canonPrio := ar.canonPrio[:0]
+		for _, p := range prio {
+			canonPrio = append(canonPrio, ctr.Perm[p])
 		}
-		effort := decomp.Effort{BDDNodes: s.opts.BDDNodeBudget, MaxBoundSets: s.opts.RothKarpBudget, Stats: &estats}
-		key := decompKey(s.opts.K, h+1, canonPrio, canon, effort)
-		entry, cached := s.cache.lookup(key, s.conc)
+		ar.canonPrio = canonPrio
+		effort := decomp.Effort{BDDNodes: s.opts.BDDNodeBudget, MaxBoundSets: s.opts.RothKarpBudget, Stats: &estats, Pool: &ar.tt}
+		ar.key = appendDecompKey(ar.key[:0], s.opts.K, h+1, canonPrio, canon, effort)
+		entry, cached := s.cache.lookup(ar.key, s.conc)
 		if cached && !ctr.Identity() {
 			s.conc.AddCacheNPNHit()
 		}
@@ -838,7 +842,7 @@ func (s *state) tryDecompose(id, L int, st *Stats, ar *arena) (*decomp.Tree, []R
 				tree = nil
 			}
 			entry = decompEntry{tree: tree, degraded: degraded}
-			s.cache.store(key, entry)
+			s.cache.store(string(ar.key), entry)
 		}
 		if entry.degraded {
 			// The budget truncated the search (whether computed now or
@@ -859,26 +863,26 @@ func (s *state) tryDecompose(id, L int, st *Stats, ar *arena) (*decomp.Tree, []R
 		}
 		st.Decompositions++
 		phase(ar, obs.OpLabel)
-		return decomp.ApplyNPNToTree(entry.tree, ctr.Inverse()), reps, true
+		return decomp.ApplyNPNToTree(entry.tree, ctr.Inverse()), slices.Clone(reps), true
 	}
 	phase(ar, obs.OpLabel)
 	return nil, nil, false
 }
 
-// decompKey identifies one DecomposeEffort call. The priority order is part
-// of the key: Decompose's window scan is capped, so both the found tree and
-// whether one is found at all depend on it. The effort budget is part of
-// the key for the same reason — a truncated search and an exact one are
-// different computations. Keying on the full input makes the cached value
-// equal to a fresh computation, which in turn makes cache sharing across
-// workers, probes and runs order-independent.
+// appendDecompKey appends the key of one DecomposeEffort call to b. The
+// priority order is part of the key: Decompose's window scan is capped, so
+// both the found tree and whether one is found at all depend on it. The
+// effort budget is part of the key for the same reason — a truncated search
+// and an exact one are different computations. Keying on the full input
+// makes the cached value equal to a fresh computation, which in turn makes
+// cache sharing across workers, probes and runs order-independent.
 //
 // The key is a compact self-delimiting byte string (callers pass the
 // NPN-canonical function, so it doubles as the persisted log's key): K and
 // depth-budget bytes, uvarint budgets, length-prefixed priority bytes, then
-// the variable count and the table's word bytes.
-func decompKey(k, depthBudget int, prio []int, fn *logic.TT, eff decomp.Effort) string {
-	b := make([]byte, 0, 16+len(prio)+8*(1+(1<<uint(fn.NumVars()))/64))
+// the variable count and the table's word bytes. Effort.Stats and
+// Effort.Pool are not part of it: they never change the outcome.
+func appendDecompKey(b []byte, k, depthBudget int, prio []int, fn *logic.TT, eff decomp.Effort) []byte {
 	b = append(b, byte(k), byte(depthBudget))
 	b = binary.AppendUvarint(b, uint64(eff.BDDNodes))
 	b = binary.AppendUvarint(b, uint64(eff.MaxBoundSets))
@@ -887,8 +891,7 @@ func decompKey(k, depthBudget int, prio []int, fn *logic.TT, eff decomp.Effort) 
 		b = append(b, byte(p))
 	}
 	b = append(b, byte(fn.NumVars()))
-	b = fn.AppendWordBytes(b)
-	return string(b)
+	return fn.AppendWordBytes(b)
 }
 
 // structuralRec converts a structural cut into a cover record: a
@@ -901,16 +904,16 @@ func (s *state) structuralRec(x *expand.Expanded, res *cut.Result, ar *arena) co
 	}
 	tree := &decomp.Tree{NumInputs: len(reps)}
 	tree.Nodes = append(tree.Nodes, decomp.TreeNode{Func: fn, Children: children})
-	return coverRec{cut: reps, tree: tree}
+	return coverRec{cut: slices.Clone(reps), tree: tree}
 }
 
 // coneFunction computes the cone's Boolean function over the cut signals
 // (variable j = cut replica j) and the replica list. The variable and memo
 // tables live in the arena, indexed by replica id, and every transient table
 // — cut-variable projections, composition intermediates — cycles through the
-// arena's truth-table pool; only the replica list and the returned root
-// function (cloned out of the pool, since callers retain it past the next
-// evaluation) are allocated.
+// arena's truth-table pool. The returned function is a pool table handed
+// to the caller, who keeps it or Puts it back. The replica list is arena
+// scratch, valid until the next call: callers that keep it copy it.
 func (s *state) coneFunction(x *expand.Expanded, res *cut.Result, ar *arena) (*logic.TT, []Replica) {
 	m := len(res.Cut)
 	if m > logic.MaxVars {
@@ -927,11 +930,12 @@ func (s *state) coneFunction(x *expand.Expanded, res *cut.Result, ar *arena) (*l
 		varOf[i] = -1
 		memo[i] = nil
 	}
-	reps := make([]Replica, m)
+	reps := ar.reps[:0]
 	for j, repID := range res.Cut {
 		varOf[repID] = j
-		reps[j] = Replica{Orig: x.Nodes[repID].Orig, W: x.Nodes[repID].W}
+		reps = append(reps, Replica{Orig: x.Nodes[repID].Orig, W: x.Nodes[repID].W})
 	}
+	ar.reps = reps
 	var eval func(repID int) *logic.TT
 	eval = func(repID int) *logic.TT {
 		if tt := memo[repID]; tt != nil {
@@ -948,7 +952,8 @@ func (s *state) coneFunction(x *expand.Expanded, res *cut.Result, ar *arena) (*l
 		if len(children) != len(orig.Fanins) {
 			panic("core: cone interior replica lacks expanded fanins")
 		}
-		subs := make([]*logic.TT, len(children))
+		var subBuf [logic.MaxVars]*logic.TT // gate functions have <= MaxVars inputs
+		subs := subBuf[:len(children)]
 		for i, ch := range children {
 			subs[i] = eval(ch)
 		}
@@ -961,9 +966,11 @@ func (s *state) coneFunction(x *expand.Expanded, res *cut.Result, ar *arena) (*l
 		memo[repID] = tt
 		return tt
 	}
-	fn := eval(expand.Root).Clone()
-	for i := range memo {
-		ar.tt.Put(memo[i]) // nil-safe; fn is a clone, so the root pools too
+	fn := eval(expand.Root)
+	for _, tt := range memo {
+		if tt != fn {
+			ar.tt.Put(tt) // nil-safe
+		}
 	}
 	return fn, reps
 }

@@ -248,7 +248,7 @@ func TestDecompCacheConcurrentStress(t *testing.T) {
 					if (fi+depth+pi)%2 == 0 {
 						tree, _ = decomp.Decompose(fn, 3, depth+1, p)
 					}
-					entries = append(entries, entry{decompKey(3, depth, p, fn, decomp.Effort{}), decompEntry{tree: tree}})
+					entries = append(entries, entry{string(appendDecompKey(nil, 3, depth, p, fn, decomp.Effort{})), decompEntry{tree: tree}})
 				}
 			}
 		}
@@ -265,7 +265,7 @@ func TestDecompCacheConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				e := entries[(g*rounds+r)%len(entries)]
-				if got, ok := cache.lookup(e.key, conc); ok {
+				if got, ok := cache.lookup([]byte(e.key), conc); ok {
 					if got.tree != nil && len(got.tree.Nodes) == 0 {
 						t.Errorf("key %q: corrupt cached tree", e.key)
 						return
@@ -279,7 +279,7 @@ func TestDecompCacheConcurrentStress(t *testing.T) {
 	wg.Wait()
 
 	for _, e := range entries {
-		if _, ok := cache.lookup(e.key, conc); !ok {
+		if _, ok := cache.lookup([]byte(e.key), conc); !ok {
 			t.Errorf("key %q missing after stress", e.key)
 		}
 	}

@@ -2,29 +2,38 @@ package decomp
 
 import "turbosyn/internal/logic"
 
+// assocShape recognizes f, a function of all its variables, as their wide
+// AND, OR or XOR, or a complement of one: mk builds the uncomplemented
+// gate, and mk is nil for any other function. AND and NOR have a single
+// true minterm, OR and NAND a single false one, and that minterm's position
+// (all-ones or all-zeros) tells which; no reference table is built.
+func assocShape(f *logic.TT) (mk func(int) *logic.TT, invert bool) {
+	ones, top := f.CountOnes(), f.NumBits()-1
+	switch {
+	case ones == 1 && f.Bit(top):
+		return logic.AndAll, false
+	case ones == top && !f.Bit(0):
+		return logic.OrAll, false
+	case ones == top && !f.Bit(top):
+		return logic.AndAll, true
+	case ones == 1 && f.Bit(0):
+		return logic.OrAll, true
+	}
+	if _, inv, ok := f.IsParity(); ok {
+		return logic.XorAll, inv
+	}
+	return nil, false
+}
+
 // associativeTree recognizes f (already support-normalized, more than k
-// variables) as a wide AND, OR, XOR or a complement thereof, and builds a
+// variables) as a wide AND, OR or XOR or a complement thereof, and builds a
 // balanced k-ary tree for it directly. Complements fold into the root node.
 // ok=false when f has no such shape or the tree cannot fit depthBudget.
 func associativeTree(f *logic.TT, refs []int, k, depthBudget int, tr *Tree) (int, bool) {
 	m := f.NumVars()
-	var mk func(int) *logic.TT
-	invert := false
-	switch {
-	case f.Equal(logic.AndAll(m)):
-		mk = logic.AndAll
-	case f.Equal(logic.OrAll(m)):
-		mk = logic.OrAll
-	case f.Equal(logic.NandAll(m)):
-		mk, invert = logic.AndAll, true
-	case f.Equal(logic.NorAll(m)):
-		mk, invert = logic.OrAll, true
-	default:
-		if _, inv, ok := f.IsParity(); ok {
-			mk, invert = logic.XorAll, inv
-		} else {
-			return 0, false
-		}
+	mk, invert := assocShape(f)
+	if mk == nil {
+		return 0, false
 	}
 	// Depth of a balanced k-ary reduction over m leaves.
 	depth := 0
@@ -34,9 +43,10 @@ func associativeTree(f *logic.TT, refs []int, k, depthBudget int, tr *Tree) (int
 	if depth > depthBudget {
 		return 0, false
 	}
-	level := append([]int(nil), refs...)
+	var levelBuf, nextBuf [logic.MaxVars]int
+	level := append(levelBuf[:0], refs...)
 	for len(level) > 1 {
-		var next []int
+		next := nextBuf[:0]
 		for i := 0; i < len(level); i += k {
 			j := min(i+k, len(level))
 			if j-i == 1 {
@@ -45,13 +55,12 @@ func associativeTree(f *logic.TT, refs []int, k, depthBudget int, tr *Tree) (int
 			}
 			fn := mk(j - i)
 			if invert && len(level) <= k {
-				// Root node: fold the complement in.
-				fn = logic.NewTT(fn.NumVars()).Not(fn)
+				fn.Not(fn) // root node: fold the complement in
 			}
 			tr.Nodes = append(tr.Nodes, TreeNode{Func: fn, Children: append([]int(nil), level[i:j]...)})
 			next = append(next, tr.NumInputs+len(tr.Nodes)-1)
 		}
-		level = next
+		level = append(level[:0], next...)
 	}
 	return level[0], true
 }

@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"math/rand"
 	"testing"
 
 	"turbosyn/internal/logic"
@@ -61,5 +62,53 @@ func TestAssociativeEmbeddedSupport(t *testing.T) {
 	}
 	if !tr.TT().Equal(f) {
 		t.Fatal("function changed")
+	}
+}
+
+// TestAssocShapeMatchesTableComparison checks the counting shape test
+// against the definition it replaced: equality with materialized
+// AndAll/OrAll/NandAll/NorAll tables, then the parity test.
+func TestAssocShapeMatchesTableComparison(t *testing.T) {
+	ref := func(f *logic.TT) (func(int) *logic.TT, bool) {
+		m := f.NumVars()
+		switch {
+		case f.Equal(logic.AndAll(m)):
+			return logic.AndAll, false
+		case f.Equal(logic.OrAll(m)):
+			return logic.OrAll, false
+		case f.Equal(logic.NandAll(m)):
+			return logic.AndAll, true
+		case f.Equal(logic.NorAll(m)):
+			return logic.OrAll, true
+		}
+		if _, inv, ok := f.IsParity(); ok {
+			return logic.XorAll, inv
+		}
+		return nil, false
+	}
+	rng := rand.New(rand.NewSource(3))
+	for m := 0; m <= 12; m++ {
+		base := []*logic.TT{
+			logic.AndAll(m), logic.OrAll(m), logic.NandAll(m), logic.NorAll(m),
+			logic.XorAll(m), logic.NewTT(m).Not(logic.XorAll(m)), randomTT(rng, m),
+		}
+		cases := base
+		for _, f := range base {
+			// One flipped minterm: single-minterm and single-zero tables at
+			// other positions, and near-parity tables.
+			g := f.Clone()
+			i := rng.Intn(g.NumBits())
+			g.SetBit(i, !g.Bit(i))
+			cases = append(cases, g)
+		}
+		for _, f := range cases {
+			gotMk, gotInv := assocShape(f)
+			wantMk, wantInv := ref(f)
+			if (gotMk == nil) != (wantMk == nil) ||
+				gotMk != nil && (gotInv != wantInv || !gotMk(m).Equal(wantMk(m))) {
+				t.Fatalf("%d vars, %s: shape (found=%v, invert=%v), want (found=%v, invert=%v)",
+					m, f, gotMk != nil, gotInv, wantMk != nil, wantInv)
+			}
+		}
 	}
 }

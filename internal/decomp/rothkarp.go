@@ -10,8 +10,9 @@
 package decomp
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"turbosyn/internal/bdd"
 	"turbosyn/internal/logic"
@@ -59,10 +60,9 @@ func BoundedColumnMultiplicity(f *logic.TT, boundSet []int, maxNodes int) (int, 
 }
 
 // codeBits returns the Roth-Karp code width for column multiplicity mu:
-// ceil(log2 mu), floored at one wire. Must stay in lockstep with the e
-// computation inside RothKarp — the BDD pre-screen of DecomposeEffort relies
-// on "codeBits(mu) > maxCodeBits" being exactly RothKarp's failure
-// condition.
+// ceil(log2 mu), floored at one wire. RothKarp fails exactly when
+// codeBits(mu) > maxCodeBits, which the BDD pre-screen of DecomposeEffort
+// relies on.
 func codeBits(mu int) int {
 	e := 0
 	for 1<<uint(e) < mu {
@@ -100,42 +100,60 @@ func varOrder(n int, boundSet []int) []int {
 
 // RothKarp performs the decomposition for a specific bound set.
 func RothKarp(f *logic.TT, boundSet []int, maxCodeBits int) (*RothKarpResult, bool) {
+	freeSet, alphas, g, ok := rothKarp(f, boundSet, maxCodeBits, nil, nil, nil)
+	if !ok {
+		return nil, false
+	}
+	return &RothKarpResult{BoundSet: boundSet, FreeSet: freeSet, Alphas: alphas, G: g}, true
+}
+
+// rothKarp is RothKarp with the free set and the alphas appended to the
+// given slices (callers may back them with fixed storage). The alphas, G
+// and every column pattern come from pool; on failure all of them are
+// already back in the pool.
+func rothKarp(f *logic.TT, boundSet []int, maxCodeBits int, pool *logic.TTPool, freeSet []int, alphas []*logic.TT) ([]int, []*logic.TT, *logic.TT, bool) {
 	n := f.NumVars()
 	k := len(boundSet)
 	if k == 0 || k >= n {
-		return nil, false
+		return nil, nil, nil, false
 	}
-	seen := make(map[int]bool, k)
+	var seen uint32 // n <= logic.MaxVars
 	for _, v := range boundSet {
-		if v < 0 || v >= n || seen[v] {
-			panic(fmt.Sprintf("decomp: bad bound set %v for %d vars", boundSet, n))
+		if v < 0 || v >= n || seen&(1<<uint(v)) != 0 {
+			// Format a copy: boundSet itself must not escape.
+			panic(fmt.Sprintf("decomp: bad bound set %v for %d vars", slices.Clone(boundSet), n))
 		}
-		seen[v] = true
+		seen |= 1 << uint(v)
 	}
-	var freeSet []int
 	for v := 0; v < n; v++ {
-		if !seen[v] {
+		if seen&(1<<uint(v)) == 0 {
 			freeSet = append(freeSet, v)
 		}
 	}
 	nb := len(freeSet)
 
-	// Column patterns: for each bound assignment a, the subfunction over
-	// the free variables as a bit pattern.
-	classOf := make([]int, 1<<uint(k))
-	patterns := make(map[string]int)
-	var reps []string
-	var buf []byte
+	// A column pattern is the subfunction over the free variables for one
+	// bound assignment a; equal patterns share a class, numbered in order of
+	// first appearance. Alpha i holds bit i of a's class. Once more than
+	// 2^emax classes exist the code cannot fit, so the scan stops there.
+	emax := k // mu <= 2^k
+	if maxCodeBits > 0 && maxCodeBits < k {
+		emax = maxCodeBits
+	}
+	for i := 0; i < emax; i++ {
+		alphas = append(alphas, pool.Get(k).SetConst(false))
+	}
+	var repBuf [64]*logic.TT // holds the 2^emax classes while emax <= 6
+	reps := repBuf[:0]
+	col := pool.Get(nb)
 	for a := 0; a < 1<<uint(k); a++ {
-		buf = buf[:0]
-		// Build the full-variable assignment incrementally.
 		var base uint
 		for j, v := range boundSet {
 			if a&(1<<uint(j)) != 0 {
 				base |= 1 << uint(v)
 			}
 		}
-		var word byte
+		col.SetConst(false)
 		for b := 0; b < 1<<uint(nb); b++ {
 			x := base
 			for j, v := range freeSet {
@@ -144,58 +162,57 @@ func RothKarp(f *logic.TT, boundSet []int, maxCodeBits int) (*RothKarpResult, bo
 				}
 			}
 			if f.Eval(x) {
-				word |= 1 << uint(b&7)
-			}
-			if b&7 == 7 || b == 1<<uint(nb)-1 {
-				buf = append(buf, word)
-				word = 0
+				col.SetBit(b, true)
 			}
 		}
-		key := string(buf)
-		id, ok := patterns[key]
-		if !ok {
+		id := -1
+		for i, r := range reps {
+			if r.Equal(col) {
+				id = i
+				break
+			}
+		}
+		if id < 0 {
 			id = len(reps)
-			patterns[key] = id
-			reps = append(reps, key)
+			if id >= 1<<uint(emax) {
+				pool.Put(col)
+				putAll(pool, reps)
+				putAll(pool, alphas)
+				return nil, nil, nil, false
+			}
+			reps = append(reps, col)
+			col = pool.Get(nb)
 		}
-		classOf[a] = id
-	}
-	mu := len(reps)
-	e := 0
-	for 1<<uint(e) < mu {
-		e++
-	}
-	if e == 0 {
-		e = 1 // degenerate f independent of the bound set still needs a wire
-	}
-	if maxCodeBits > 0 && e > maxCodeBits {
-		return nil, false
-	}
-
-	res := &RothKarpResult{BoundSet: boundSet, FreeSet: freeSet}
-	for i := 0; i < e; i++ {
-		alpha := logic.NewTT(k)
-		for a := 0; a < 1<<uint(k); a++ {
-			if classOf[a]&(1<<uint(i)) != 0 {
+		for i, alpha := range alphas {
+			if id&(1<<uint(i)) != 0 {
 				alpha.SetBit(a, true)
 			}
 		}
-		res.Alphas = append(res.Alphas, alpha)
 	}
-	g := logic.NewTT(e + nb)
+	pool.Put(col)
+	mu := len(reps)
+	e := codeBits(mu) // <= emax: the scan above never exceeded 2^emax classes
+	putAll(pool, alphas[e:])
+	alphas = alphas[:e]
+
+	g := pool.Get(e + nb).SetConst(false)
 	for idx := 0; idx < g.NumBits(); idx++ {
 		code := idx & (1<<uint(e) - 1)
-		b := idx >> uint(e)
 		if code >= mu {
 			continue // unused code: don't-care, fixed to 0
 		}
-		rep := reps[code]
-		if rep[b>>3]&(1<<uint(b&7)) != 0 {
+		if reps[code].Bit(idx >> uint(e)) {
 			g.SetBit(idx, true)
 		}
 	}
-	res.G = g
-	return res, true
+	putAll(pool, reps)
+	return freeSet, alphas, g, true
+}
+
+func putAll(pool *logic.TTPool, ts []*logic.TT) {
+	for _, t := range ts {
+		pool.Put(t)
+	}
 }
 
 // Verify recomposes the decomposition and compares with f exhaustively.
@@ -305,6 +322,13 @@ type Effort struct {
 	// (observability only — it never influences the search, so it is not
 	// part of decomposition-cache keys).
 	Stats *EffortStats
+	// Pool, when non-nil, supplies every scratch table of the call —
+	// cofactors, projections, column patterns, codes and composition
+	// functions — and gets them all back before the call returns, so with a
+	// warm pool the call allocates only the tree it returns. Like Stats it
+	// never influences the search and is not part of cache keys. The pool
+	// has one owner; the call must not share it with another goroutine.
+	Pool *logic.TTPool
 }
 
 // EffortStats counts the work of one or more Decompose calls when collected
@@ -332,6 +356,16 @@ type effortState struct {
 	shannon  int
 	disjoint int
 	degraded bool
+}
+
+// record adds the call's work to eff.Stats, when set.
+func (es *effortState) record() {
+	if st := es.eff.Stats; st != nil {
+		st.BoundSetsExamined += es.examined
+		st.RothKarpCalls += es.rothkarp
+		st.ShannonSplits += es.shannon
+		st.DisjointPeels += es.disjoint
+	}
 }
 
 // allow reports whether one more bound-set candidate may be examined,
@@ -383,56 +417,55 @@ func DecomposeEffort(f *logic.TT, k, depthBudget int, priority []int, eff Effort
 		return nil, false, false
 	}
 	n := f.NumVars()
-	tr := &Tree{NumInputs: n}
+	es := effortState{eff: eff}
+	defer es.record()
 	// rank: lower = prefer inside bound sets (earlier-arriving signal).
-	rank := make(map[int]int, n)
-	if priority != nil {
-		for i, v := range priority {
-			rank[v] = i
-		}
-	} else {
-		for v := 0; v < n; v++ {
+	// Inputs missing from priority rank 0.
+	var refBuf, rankBuf [logic.MaxVars]int
+	refs, rank := refBuf[:n], rankBuf[:n]
+	for v := range refs {
+		refs[v] = v
+		if priority == nil {
 			rank[v] = v
 		}
 	}
-	refs := make([]int, n)
-	for i := range refs {
-		refs[i] = i
+	for i, v := range priority {
+		if v >= 0 && v < n {
+			rank[v] = i
+		}
 	}
-	es := &effortState{eff: eff}
-	if eff.Stats != nil {
-		defer func() {
-			eff.Stats.BoundSetsExamined += es.examined
-			eff.Stats.RothKarpCalls += es.rothkarp
-			eff.Stats.ShannonSplits += es.shannon
-			eff.Stats.DisjointPeels += es.disjoint
-		}()
-	}
-	root, ok := decomposeOver(f, refs, k, depthBudget, rank, tr, es)
+	tr := Tree{NumInputs: n}
+	root, ok := decomposeOver(f, refs, rank, k, depthBudget, &tr, &es)
 	if !ok {
 		return nil, false, es.degraded
 	}
 	if root != tr.Root() {
 		panic("decomp: root bookkeeping broken")
 	}
-	return tr, true, es.degraded
+	return &Tree{NumInputs: n, Nodes: tr.Nodes}, true, es.degraded
 }
 
 // decomposeOver decomposes f, whose variable j corresponds to tree reference
-// refs[j], appending nodes to tr and returning the root reference. rank maps
-// tree references to bound-set priority (internal alpha nodes get the rank
-// of their latest input, keeping the cascade balanced).
+// refs[j] with bound-set priority rank[j], appending nodes to tr and
+// returning the root reference (alpha nodes get the rank of their latest
+// input, keeping the cascade balanced). f, refs and rank stay the
+// caller's: scratch tables come from es.eff.Pool and go back to it, and
+// node functions are fresh tables.
 //
 // One invocation handles one tree level: it repeatedly extracts disjoint
 // bound sets into alpha nodes — never re-encoding an alpha created at this
 // level, so all of them sit side by side one level deep — and then recurses
 // on the shrunken composition function with one level less budget.
-func decomposeOver(f *logic.TT, refs []int, k, depthBudget int, rank map[int]int, tr *Tree, es *effortState) (int, bool) {
-	// Normalize to the support.
-	support := f.Support()
-	if len(support) < f.NumVars() {
-		f = projectTT(f, support)
-		refs = mapRefs(support, refs)
+func decomposeOver(f *logic.TT, refs, rank []int, k, depthBudget int, tr *Tree, es *effortState) (int, bool) {
+	pool := es.eff.Pool
+	// Normalize to the support. refBuf and rankBuf hold this level's
+	// variables from here on.
+	var supBuf, refBuf, rankBuf [logic.MaxVars]int
+	if support := f.AppendSupport(supBuf[:0]); len(support) < f.NumVars() {
+		f = projectTT(pool.Get(len(support)), f, support)
+		defer pool.Put(f)
+		refs = appendAt(refBuf[:0], support, refs)
+		rank = appendAt(rankBuf[:0], support, rank)
 	}
 	if f.NumVars() <= k {
 		if depthBudget < 1 {
@@ -452,27 +485,27 @@ func decomposeOver(f *logic.TT, refs []int, k, depthBudget int, rank map[int]int
 	}
 	// Cheap tiers before the exponential bound-set search: disjoint literal
 	// peeling, then a single-variable Shannon split (see tiers.go).
-	if root, ok := disjointPeelTree(f, refs, k, depthBudget, rank, tr, es); ok {
+	if root, ok := disjointPeelTree(f, refs, rank, k, depthBudget, tr, es); ok {
 		return root, true
 	}
-	if root, ok := shannonTree(f, refs, k, depthBudget, rank, tr, es); ok {
+	if root, ok := shannonTree(f, refs, rank, k, depthBudget, tr, es); ok {
 		return root, true
 	}
 	mark := len(tr.Nodes)
-	fresh := make([]bool, f.NumVars()) // alphas created at this level
-	progressed := false
+	var freshBuf [logic.MaxVars]bool // alphas created at this level
+	fresh := freshBuf[:f.NumVars()]
+	var g *logic.TT // the latest composition function, pool-owned
 	for f.NumVars() > k {
 		m := f.NumVars()
 		// Encodable variables, ordered by priority.
-		var ordered []int
+		var orderBuf [logic.MaxVars]int
+		ordered := orderBuf[:0]
 		for v := 0; v < m; v++ {
 			if !fresh[v] {
 				ordered = append(ordered, v)
 			}
 		}
-		sort.SliceStable(ordered, func(a, b int) bool {
-			return rank[refs[ordered[a]]] < rank[refs[ordered[b]]]
-		})
+		slices.SortStableFunc(ordered, func(a, b int) int { return cmp.Compare(rank[a], rank[b]) })
 		found := false
 		// Window starts are capped: the priority sort already puts the
 		// best bound-set candidates first, and an exhaustive slide makes
@@ -484,14 +517,16 @@ func decomposeOver(f *logic.TT, refs []int, k, depthBudget int, rank map[int]int
 				if !es.allow() {
 					break search // candidate allowance spent; search degraded
 				}
-				bound := append([]int(nil), ordered[start:start+size]...)
+				bound := ordered[start : start+size]
 				// The code must be narrower than the bound set, so every
 				// extraction strictly reduces the input count.
 				if !es.screen(f, bound, size-1) {
 					continue
 				}
 				es.rothkarp++
-				rk, ok := RothKarp(f, bound, size-1)
+				var freeBuf [logic.MaxVars]int
+				var alphaBuf [logic.MaxVars]*logic.TT
+				freeSet, alphas, rkG, ok := rothKarp(f, bound, size-1, pool, freeBuf[:0], alphaBuf[:0])
 				if !ok {
 					continue
 				}
@@ -499,30 +534,36 @@ func decomposeOver(f *logic.TT, refs []int, k, depthBudget int, rank map[int]int
 				// their latest bound input.
 				alphaRank := 0
 				for _, v := range bound {
-					if r := rank[refs[v]]; r > alphaRank {
-						alphaRank = r
-					}
+					alphaRank = max(alphaRank, rank[v])
 				}
-				boundRefs := mapRefs(bound, refs)
-				newRefs := make([]int, 0, len(rk.Alphas)+len(rk.FreeSet))
-				newFresh := make([]bool, 0, len(rk.Alphas)+len(rk.FreeSet))
-				for _, a := range rk.Alphas {
-					sup := a.Support()
+				var boundBuf, newRefBuf, newRankBuf [logic.MaxVars]int
+				var newFreshBuf [logic.MaxVars]bool
+				boundRefs := appendAt(boundBuf[:0], bound, refs)
+				newRefs, newRank, newFresh := newRefBuf[:0], newRankBuf[:0], newFreshBuf[:0]
+				for _, a := range alphas {
+					var alphaSupBuf [logic.MaxVars]int
+					sup := a.AppendSupport(alphaSupBuf[:0])
 					tr.Nodes = append(tr.Nodes, TreeNode{
-						Func:     projectTT(a, sup),
-						Children: mapRefs(sup, boundRefs),
+						Func:     projectTT(logic.NewTT(len(sup)), a, sup),
+						Children: appendAt(nil, sup, boundRefs),
 					})
-					ref := tr.NumInputs + len(tr.Nodes) - 1
-					rank[ref] = alphaRank
-					newRefs = append(newRefs, ref)
+					pool.Put(a)
+					newRefs = append(newRefs, tr.NumInputs+len(tr.Nodes)-1)
+					newRank = append(newRank, alphaRank)
 					newFresh = append(newFresh, true)
 				}
-				for _, v := range rk.FreeSet {
+				for _, v := range freeSet {
 					newRefs = append(newRefs, refs[v])
+					newRank = append(newRank, rank[v])
 					newFresh = append(newFresh, fresh[v])
 				}
-				f, refs, fresh = rk.G, newRefs, newFresh
-				progressed, found = true, true
+				pool.Put(g)
+				g = rkG
+				f = g
+				refs = append(refBuf[:0], newRefs...)
+				rank = append(rankBuf[:0], newRank...)
+				fresh = append(freshBuf[:0], newFresh...)
+				found = true
 				break search
 			}
 		}
@@ -530,11 +571,12 @@ func decomposeOver(f *logic.TT, refs []int, k, depthBudget int, rank map[int]int
 			break
 		}
 	}
-	if !progressed {
-		return 0, false
+	if g == nil {
+		return 0, false // no extraction progressed
 	}
 	// Next level: everything (alphas included) is an ordinary input now.
-	root, ok := decomposeOver(f, refs, k, depthBudget-1, rank, tr, es)
+	root, ok := decomposeOver(f, refs, rank, k, depthBudget-1, tr, es)
+	pool.Put(g)
 	if !ok {
 		tr.Nodes = tr.Nodes[:mark]
 		return 0, false
@@ -542,10 +584,11 @@ func decomposeOver(f *logic.TT, refs []int, k, depthBudget int, rank map[int]int
 	return root, true
 }
 
-// projectTT shrinks f to the given variables (f must not depend on others).
-func projectTT(f *logic.TT, vars []int) *logic.TT {
-	shrunk := logic.NewTT(len(vars))
-	for i := 0; i < shrunk.NumBits(); i++ {
+// projectTT writes f shrunk to the given variables (f must not depend on
+// others) into dst, a table of len(vars) variables, and returns dst.
+func projectTT(dst, f *logic.TT, vars []int) *logic.TT {
+	dst.SetConst(false)
+	for i := 0; i < dst.NumBits(); i++ {
 		var x uint
 		for j, v := range vars {
 			if i&(1<<uint(j)) != 0 {
@@ -553,23 +596,16 @@ func projectTT(f *logic.TT, vars []int) *logic.TT {
 			}
 		}
 		if f.Eval(x) {
-			shrunk.SetBit(i, true)
+			dst.SetBit(i, true)
 		}
 	}
-	return shrunk
+	return dst
 }
 
-func mapRefs(vars []int, refs []int) []int {
-	out := make([]int, len(vars))
-	for i, v := range vars {
-		out[i] = refs[v]
+// appendAt appends xs[v] for each v in vars to dst.
+func appendAt(dst, vars, xs []int) []int {
+	for _, v := range vars {
+		dst = append(dst, xs[v])
 	}
-	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return dst
 }

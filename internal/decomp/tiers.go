@@ -1,7 +1,8 @@
 package decomp
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"turbosyn/internal/logic"
 )
@@ -20,27 +21,32 @@ import (
 // search continues on the residual. f is support-normalized with more than
 // k variables. ok=false when no literal peels or the residual does not
 // decompose within depthBudget-1.
-func disjointPeelTree(f *logic.TT, refs []int, k, depthBudget int, rank map[int]int, tr *Tree, es *effortState) (int, bool) {
+func disjointPeelTree(f *logic.TT, refs, rank []int, k, depthBudget int, tr *Tree, es *effortState) (int, bool) {
 	if depthBudget < 2 {
 		return 0, false
 	}
+	pool := es.eff.Pool
 	m := f.NumVars()
 	type literal struct {
 		v   int
 		neg bool
 	}
 	var op byte // 'a' AND, 'o' OR, 'x' XOR
-	var peels []literal
-	peeled := make([]bool, m)
+	var peelBuf [logic.MaxVars]literal
+	peels := peelBuf[:0]
+	var peeled [logic.MaxVars]bool
+	// g is the residual: f itself, or a pool table once a literal peeled.
+	// g0, g1 and x are the cofactor scratch.
 	g := f
+	g0, g1, x := pool.Get(m), pool.Get(m), pool.Get(m)
 	for len(peels) < k-1 {
 		found := false
 		for v := 0; v < m && !found; v++ {
 			if peeled[v] {
 				continue
 			}
-			g0 := g.Cofactor(v, false)
-			g1 := g.Cofactor(v, true)
+			g0.CopyFrom(g).CofactorInPlace(v, false)
+			g1.CopyFrom(g).CofactorInPlace(v, true)
 			c0, v0 := g0.IsConst()
 			c1, v1 := g1.IsConst()
 			var o byte
@@ -56,9 +62,7 @@ func disjointPeelTree(f *logic.TT, refs []int, k, depthBudget int, rank map[int]
 			case c0 && v0: // f = NOT x_v OR g1
 				o, neg, rest = 'o', true, g1
 			default:
-				x := g1.Clone()
-				x.Not(x)
-				if x.Equal(g0) { // f = x_v XOR g0
+				if x.Not(g1).Equal(g0) { // f = x_v XOR g0
 					o, neg, rest = 'x', false, g0
 				} else {
 					continue
@@ -70,6 +74,17 @@ func disjointPeelTree(f *logic.TT, refs []int, k, depthBudget int, rank map[int]
 			op = o
 			peels = append(peels, literal{v, neg})
 			peeled[v] = true
+			// rest becomes the residual; the table the old residual held
+			// (when it is ours) takes over rest's scratch role.
+			spare := g
+			if g == f {
+				spare = pool.Get(m)
+			}
+			if rest == g0 {
+				g0 = spare
+			} else {
+				g1 = spare
+			}
 			g = rest
 			found = true
 		}
@@ -77,11 +92,15 @@ func disjointPeelTree(f *logic.TT, refs []int, k, depthBudget int, rank map[int]
 			break
 		}
 	}
+	pool.Put(g0)
+	pool.Put(g1)
+	pool.Put(x)
 	if len(peels) == 0 {
 		return 0, false
 	}
 	mark := len(tr.Nodes)
-	sub, ok := decomposeOver(g, refs, k, depthBudget-1, rank, tr, es)
+	sub, ok := decomposeOver(g, refs, rank, k, depthBudget-1, tr, es)
+	pool.Put(g)
 	if !ok {
 		tr.Nodes = tr.Nodes[:mark]
 		return 0, false
@@ -90,9 +109,10 @@ func disjointPeelTree(f *logic.TT, refs []int, k, depthBudget int, rank map[int]
 	// subtree (position p).
 	p := len(peels)
 	fn := logic.Var(p+1, p)
+	lit := pool.Get(p + 1)
 	children := make([]int, 0, p+1)
 	for i, pl := range peels {
-		lit := logic.Var(p+1, i)
+		lit.SetVar(i)
 		if pl.neg {
 			lit.Not(lit)
 		}
@@ -106,11 +126,15 @@ func disjointPeelTree(f *logic.TT, refs []int, k, depthBudget int, rank map[int]
 		}
 		children = append(children, refs[pl.v])
 	}
+	pool.Put(lit)
 	children = append(children, sub)
 	tr.Nodes = append(tr.Nodes, TreeNode{Func: fn, Children: children})
 	es.disjoint++
 	return tr.NumInputs + len(tr.Nodes) - 1, true
 }
+
+// mux21 is the select node of shannonTree, x2 ? x1 : x0; nodes get clones.
+var mux21 = logic.Mux21()
 
 // shannonTree splits f on one Shannon variable when both cofactors fit
 // directly into single k-input leaves: f = v ? f1 : f0 becomes two leaf
@@ -118,35 +142,39 @@ func disjointPeelTree(f *logic.TT, refs []int, k, depthBudget int, rank map[int]
 // latest-arriving first, so the select input — the only one crossing both
 // levels — is the signal the labeling wants near the root. f is
 // support-normalized with more than k variables.
-func shannonTree(f *logic.TT, refs []int, k, depthBudget int, rank map[int]int, tr *Tree, es *effortState) (int, bool) {
+func shannonTree(f *logic.TT, refs, rank []int, k, depthBudget int, tr *Tree, es *effortState) (int, bool) {
 	m := f.NumVars()
 	if k < 3 || depthBudget < 2 || m-1 > 2*k {
 		return 0, false
 	}
-	order := make([]int, m)
+	var orderBuf [logic.MaxVars]int
+	order := orderBuf[:m]
 	for v := range order {
 		order[v] = v
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return rank[refs[order[a]]] > rank[refs[order[b]]]
-	})
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(rank[b], rank[a]) })
+	pool := es.eff.Pool
+	f0, f1 := pool.Get(m), pool.Get(m)
+	defer pool.Put(f1)
+	defer pool.Put(f0)
 	for _, v := range order {
-		f0 := f.Cofactor(v, false)
-		f1 := f.Cofactor(v, true)
-		s0 := f0.Support()
-		s1 := f1.Support()
+		f0.CopyFrom(f).CofactorInPlace(v, false)
+		f1.CopyFrom(f).CofactorInPlace(v, true)
+		var s0Buf, s1Buf [logic.MaxVars]int
+		s0 := f0.AppendSupport(s0Buf[:0])
+		s1 := f1.AppendSupport(s1Buf[:0])
 		if len(s0) == 0 || len(s1) == 0 {
 			continue // a constant cofactor is a literal peel, not a mux
 		}
 		if len(s0) > k || len(s1) > k {
 			continue
 		}
-		tr.Nodes = append(tr.Nodes, TreeNode{Func: projectTT(f0, s0), Children: mapRefs(s0, refs)})
+		tr.Nodes = append(tr.Nodes, TreeNode{Func: projectTT(logic.NewTT(len(s0)), f0, s0), Children: appendAt(nil, s0, refs)})
 		r0 := tr.NumInputs + len(tr.Nodes) - 1
-		tr.Nodes = append(tr.Nodes, TreeNode{Func: projectTT(f1, s1), Children: mapRefs(s1, refs)})
+		tr.Nodes = append(tr.Nodes, TreeNode{Func: projectTT(logic.NewTT(len(s1)), f1, s1), Children: appendAt(nil, s1, refs)})
 		r1 := tr.NumInputs + len(tr.Nodes) - 1
 		// Mux21 computes x2 ? x1 : x0, so the select rides as child 2.
-		tr.Nodes = append(tr.Nodes, TreeNode{Func: logic.Mux21(), Children: []int{r0, r1, refs[v]}})
+		tr.Nodes = append(tr.Nodes, TreeNode{Func: mux21.Clone(), Children: []int{r0, r1, refs[v]}})
 		es.shannon++
 		return tr.NumInputs + len(tr.Nodes) - 1, true
 	}

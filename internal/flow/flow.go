@@ -151,7 +151,7 @@ func (n *Net) MaxFlowUpTo(s, t, limit int) int {
 		}
 		flow += bottleneck
 	}
-	return flow
+	return limit + 1 // an all-Inf path adds Inf, not 1
 }
 
 // Bytes reports the approximate footprint of the network's retained arrays,

@@ -39,6 +39,17 @@ func TestEarlyExit(t *testing.T) {
 	}
 }
 
+func TestEarlyExitOnInfPath(t *testing.T) {
+	// s -Inf-> a -Inf-> t: one augmenting path carries Inf, which still
+	// reports as limit+1.
+	n := NewNet(3)
+	n.AddArc(0, 1, Inf)
+	n.AddArc(1, 2, Inf)
+	if f := n.MaxFlowUpTo(0, 2, 5); f != 6 {
+		t.Fatalf("flow over an uncuttable path = %d, want limit+1 = 6", f)
+	}
+}
+
 func TestBottleneckWithInfArcs(t *testing.T) {
 	// s -Inf-> a -1-> b -Inf-> t: max flow 1.
 	n := NewNet(4)

@@ -31,7 +31,8 @@ func (t *TT) ComposeBoolPool(subs []*TT, p *TTPool) *TT {
 			panic("logic: ComposeBool: substitutions over different variable sets")
 		}
 	}
-	negs := make([]*TT, len(subs))
+	var negBuf [MaxVars]*TT
+	negs := negBuf[:len(subs)]
 	var rec func(f *TT) *TT
 	rec = func(f *TT) *TT {
 		if c, v := f.IsConst(); c {

@@ -112,17 +112,15 @@ func isop(l, u *TT, nvar int) ([]Cube, *TT) {
 // IsParity reports whether f is an affine parity function over its support:
 // f = c XOR x_{i1} XOR ... XOR x_{ik}. It returns the support and the
 // complement flag when so.
+//
+// f is such a function exactly when flipping any one support variable
+// complements it; the constant is then f(0). The test runs in place and
+// allocates only the returned support.
 func (t *TT) IsParity() (support []int, invert, ok bool) {
-	support = t.Support()
-	p := Const(t.nvar, false)
-	for _, i := range support {
-		p.Xor(p, Var(t.nvar, i))
+	for i := 0; i < t.nvar; i++ {
+		if t.DependsOn(i) && !t.cofactorsDiffer(i, true) {
+			return nil, false, false
+		}
 	}
-	if p.Equal(t) {
-		return support, false, true
-	}
-	if NewTT(t.nvar).Not(p).Equal(t) {
-		return support, true, true
-	}
-	return nil, false, false
+	return t.Support(), t.Bit(0), true
 }

@@ -6,27 +6,27 @@ package logic
 
 // AndAll returns x_0 AND ... AND x_{nvar-1}.
 func AndAll(nvar int) *TT {
-	t := Const(nvar, true)
+	t, v := Const(nvar, true), NewTT(nvar)
 	for i := 0; i < nvar; i++ {
-		t.And(t, Var(nvar, i))
+		t.And(t, v.SetVar(i))
 	}
 	return t
 }
 
 // OrAll returns x_0 OR ... OR x_{nvar-1}.
 func OrAll(nvar int) *TT {
-	t := Const(nvar, false)
+	t, v := Const(nvar, false), NewTT(nvar)
 	for i := 0; i < nvar; i++ {
-		t.Or(t, Var(nvar, i))
+		t.Or(t, v.SetVar(i))
 	}
 	return t
 }
 
 // XorAll returns x_0 XOR ... XOR x_{nvar-1}.
 func XorAll(nvar int) *TT {
-	t := Const(nvar, false)
+	t, v := Const(nvar, false), NewTT(nvar)
 	for i := 0; i < nvar; i++ {
-		t.Xor(t, Var(nvar, i))
+		t.Xor(t, v.SetVar(i))
 	}
 	return t
 }

@@ -66,15 +66,8 @@ func (t *TT) SetVar(i int) *TT {
 		panic("logic: SetVar: index out of range")
 	}
 	if i < 6 {
-		var p uint64
-		period := 1 << (i + 1)
-		for b := 0; b < 64; b++ {
-			if b%period >= period/2 {
-				p |= 1 << uint(b)
-			}
-		}
 		for w := range t.words {
-			t.words[w] = p
+			t.words[w] = varMask64[i]
 		}
 		if t.nvar < 6 {
 			t.words[0] &= mask(t.nvar)

@@ -68,32 +68,7 @@ func Var(nvar, i int) *TT {
 	if i < 0 || i >= nvar {
 		panic(fmt.Sprintf("logic: Var(%d, %d): index out of range", nvar, i))
 	}
-	t := NewTT(nvar)
-	if i < 6 {
-		// Pattern within each word.
-		var p uint64
-		period := 1 << (i + 1)
-		for b := 0; b < 64; b++ {
-			if b%period >= period/2 {
-				p |= 1 << uint(b)
-			}
-		}
-		for w := range t.words {
-			t.words[w] = p
-		}
-		if nvar < 6 {
-			t.words[0] &= mask(nvar)
-		}
-	} else {
-		// Whole words alternate in blocks of 2^(i-6).
-		block := 1 << (i - 6)
-		for w := range t.words {
-			if (w/block)%2 == 1 {
-				t.words[w] = ^uint64(0)
-			}
-		}
-	}
-	return t
+	return NewTT(nvar).SetVar(i)
 }
 
 // NumVars returns the variable count.
@@ -230,11 +205,9 @@ func (t *TT) CofactorInPlace(i int, val bool) {
 	}
 	if i < 6 {
 		// Mask of table positions where variable i already equals val.
-		var keep uint64
-		for b := 0; b < 64; b++ {
-			if ((b>>uint(i))&1 == 1) == val {
-				keep |= 1 << uint(b)
-			}
+		keep := varMask64[i]
+		if !val {
+			keep = ^keep
 		}
 		shift := uint(1) << uint(i)
 		for w := range t.words {
@@ -262,20 +235,65 @@ func (t *TT) CofactorInPlace(i int, val bool) {
 	}
 }
 
-// DependsOn reports whether t depends on variable i.
-func (t *TT) DependsOn(i int) bool {
-	return !t.Cofactor(i, false).Equal(t.Cofactor(i, true))
-}
-
-// Support returns the indices of variables t depends on.
-func (t *TT) Support() []int {
-	var s []int
-	for i := 0; i < t.nvar; i++ {
-		if t.DependsOn(i) {
-			s = append(s, i)
+// cofactorsDiffer compares the x_i=0 and x_i=1 halves of t in place. With
+// complement=false it reports whether they differ anywhere (t depends on
+// x_i); with complement=true, whether they differ everywhere (flipping x_i
+// complements t).
+func (t *TT) cofactorsDiffer(i int, complement bool) bool {
+	if i < 0 || i >= t.nvar {
+		panic(fmt.Sprintf("logic: Cofactor(%d) on %d-var table", i, t.nvar))
+	}
+	if i < 6 {
+		// Shifting a word right by 2^i lines each x_i=1 bit up with its
+		// x_i=0 partner.
+		m := ^varMask64[i] & mask(t.nvar)
+		shift := uint(1) << uint(i)
+		for _, w := range t.words {
+			d := ((w >> shift) ^ w) & m
+			if complement {
+				if d != m {
+					return false
+				}
+			} else if d != 0 {
+				return true
+			}
+		}
+		return complement
+	}
+	block := 1 << (i - 6)
+	for base := 0; base < len(t.words); base += 2 * block {
+		lo := t.words[base : base+block]
+		hi := t.words[base+block : base+2*block]
+		for j, w := range lo {
+			d := w ^ hi[j]
+			if complement {
+				if d != ^uint64(0) {
+					return false
+				}
+			} else if d != 0 {
+				return true
+			}
 		}
 	}
-	return s
+	return complement
+}
+
+// DependsOn reports whether t depends on variable i.
+func (t *TT) DependsOn(i int) bool { return t.cofactorsDiffer(i, false) }
+
+// Support returns the indices of variables t depends on.
+func (t *TT) Support() []int { return t.AppendSupport(nil) }
+
+// AppendSupport appends the indices of variables t depends on to dst and
+// returns the extended slice; with enough capacity in dst it does not
+// allocate.
+func (t *TT) AppendSupport(dst []int) []int {
+	for i := 0; i < t.nvar; i++ {
+		if t.DependsOn(i) {
+			dst = append(dst, i)
+		}
+	}
+	return dst
 }
 
 // Expand returns the same function over a larger variable set: variable j of
