@@ -110,7 +110,7 @@ cache-warm:
 fuzz-smoke:
 	$(GO) test -fuzz FuzzReadBLIF -fuzztime 30s -run '^$$' ./internal/netlist
 
-# One iteration of the PLD, scaling and warm/cold-probe benchmarks; sanity,
+# One iteration of the PLD, scaling and cold-probe search benchmarks; sanity,
 # not statistics. The Scale benchmarks run j1/jN sub-benchmarks, so the
 # output shows the parallel engine's speedup on whatever machine ran them.
 # The text log is rendered to BENCH_new.json and gated against the committed
@@ -123,7 +123,7 @@ fuzz-smoke:
 # BENCH_engine.json — the artifact that shows the amortization actually
 # amortizes.
 bench-smoke:
-	$(GO) test -bench 'BenchmarkPLD|BenchmarkScale1k|BenchmarkPipeline4k|BenchmarkWarmProbes|BenchmarkColdProbes' -benchtime 1x -benchmem -run '^$$' -timeout 20m . | tee bench-smoke.txt
+	$(GO) test -bench 'BenchmarkPLD|BenchmarkScale1k|BenchmarkPipeline4k|BenchmarkColdProbes' -benchtime 1x -benchmem -run '^$$' -timeout 20m . | tee bench-smoke.txt
 	$(GO) run ./cmd/benchjson -o BENCH_new.json < bench-smoke.txt
 	$(GO) run ./cmd/benchjson -delta -max-time-ratio 3.0 -max-bytes-ratio 1.5 -max-allocs-ratio 1.5 BENCH_labels.json BENCH_new.json
 	mv BENCH_new.json BENCH_labels.json

@@ -105,7 +105,6 @@ func TestOptionsValidation(t *testing.T) {
 		{"K too small", func(o *Options) { o.K = 1 }, "too small"},
 		{"K too large", func(o *Options) { o.K = 99 }, "exceeds"},
 		{"negative workers", func(o *Options) { o.Workers = -1 }, "Workers"},
-		{"negative task grain", func(o *Options) { o.TaskGrain = -2 }, "TaskGrain"},
 		{"negative Cmax", func(o *Options) { o.Cmax = -1 }, "Cmax"},
 		{"oversized Cmax", func(o *Options) { o.Cmax = 99 }, "Cmax"},
 		{"negative MaxH", func(o *Options) { o.MaxH = -3 }, "MaxH"},

@@ -1,7 +1,7 @@
 // Command benchjson converts `go test -bench` text output (read on stdin)
 // into a stable JSON document, so CI can publish benchmark numbers — ns/op,
 // B/op, allocs/op and any custom b.ReportMetric units such as iters or
-// warmstarts — as a machine-readable artifact (BENCH_labels.json).
+// visits — as a machine-readable artifact (BENCH_labels.json).
 //
 // Usage:
 //

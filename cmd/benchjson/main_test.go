@@ -10,7 +10,7 @@ const sample = `goos: linux
 goarch: amd64
 pkg: turbosyn
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkWarmProbes_bbara 	       1	 385343297 ns/op	      1840 iters	         3.000 warmstarts	251278808 B/op	  929836 allocs/op
+BenchmarkColdProbes_bbara 	       1	 385343297 ns/op	      1840 iters	         11436 visits	251278808 B/op	  929836 allocs/op
 BenchmarkScale1k/j1       	       2	54453132746 ns/op	      1036 gates	         4.000 phi	49631384784 B/op	449284798 allocs/op
 --- BENCH: BenchmarkScale1k
     some test chatter
@@ -29,18 +29,18 @@ func TestParse(t *testing.T) {
 	if len(doc.Benchmarks) != 2 {
 		t.Fatalf("parsed %d benchmarks, want 2", len(doc.Benchmarks))
 	}
-	warm := doc.Benchmarks[0]
-	if warm.Name != "BenchmarkWarmProbes_bbara" || warm.N != 1 {
-		t.Fatalf("benchmark[0] = %+v", warm)
+	search := doc.Benchmarks[0]
+	if search.Name != "BenchmarkColdProbes_bbara" || search.N != 1 {
+		t.Fatalf("benchmark[0] = %+v", search)
 	}
 	for unit, want := range map[string]float64{
-		"ns/op":      385343297,
-		"iters":      1840,
-		"warmstarts": 3,
-		"B/op":       251278808,
-		"allocs/op":  929836,
+		"ns/op":     385343297,
+		"iters":     1840,
+		"visits":    11436,
+		"B/op":      251278808,
+		"allocs/op": 929836,
 	} {
-		if got := warm.Metrics[unit]; got != want {
+		if got := search.Metrics[unit]; got != want {
 			t.Errorf("%s = %v, want %v", unit, got, want)
 		}
 	}

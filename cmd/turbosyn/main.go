@@ -43,7 +43,6 @@ func main() {
 		noPack     = flag.Bool("nopack", false, "skip LUT packing")
 		raw        = flag.Bool("mapped", false, "emit the mapped network before retiming instead of the realized one")
 		noPLD      = flag.Bool("nopld", false, "disable positive loop detection (n^2 stopping rule)")
-		noWarm     = flag.Bool("nowarm", false, "disable warm-started search probes (cold binary search)")
 		noWork     = flag.Bool("noworklist", false, "disable the dirty-set worklist (full-membership label sweeps; results are bit-identical)")
 		workers    = flag.Int("j", 0, "worker pool size (0 = all CPUs, 1 = sequential); results are identical for every setting")
 		timeout    = flag.Duration("timeout", 0, "abort synthesis after this duration (0 = no limit); partial progress is reported")
@@ -104,7 +103,7 @@ func main() {
 	}
 
 	opts := turbosyn.Options{
-		K: *k, NoPack: *noPack, NoPLD: *noPLD, NoWarmStart: *noWarm, NoWorklist: *noWork,
+		K: *k, NoPack: *noPack, NoPLD: *noPLD, NoWorklist: *noWork,
 		Workers: *workers,
 		Strict:  *strict, BDDNodeBudget: *bddBudget, RothKarpBudget: *rkBudget,
 		CacheDir: *cacheDir,

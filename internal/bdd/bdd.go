@@ -124,15 +124,6 @@ func (m *Manager) NVar(i int) Ref {
 // Level returns the decision variable of f, or NumVars for terminals.
 func (m *Manager) Level(f Ref) int { return int(m.nodes[f].level) }
 
-// Cofactors returns the lo/hi children of f. Terminals return themselves.
-func (m *Manager) Cofactors(f Ref) (lo, hi Ref) {
-	if f <= True {
-		return f, f
-	}
-	n := m.nodes[f]
-	return n.lo, n.hi
-}
-
 // ITE computes if-then-else(f, g, h) = f·g + f'·h, the universal connective.
 func (m *Manager) ITE(f, g, h Ref) Ref {
 	// Terminal cases.
@@ -229,26 +220,6 @@ func (m *Manager) Eval(f Ref, assignment uint) bool {
 		}
 	}
 	return f == True
-}
-
-// SatCount returns the number of satisfying assignments of f over all
-// NumVars variables.
-func (m *Manager) SatCount(f Ref) uint64 {
-	// rec(g) counts assignments over the variables at or below g's level.
-	memo := map[Ref]uint64{False: 0, True: 1}
-	var rec func(Ref) uint64
-	rec = func(g Ref) uint64 {
-		if c, ok := memo[g]; ok {
-			return c
-		}
-		n := m.nodes[g]
-		lo := rec(n.lo) << uint(m.nodes[n.lo].level-n.level-1)
-		hi := rec(n.hi) << uint(m.nodes[n.hi].level-n.level-1)
-		c := lo + hi
-		memo[g] = c
-		return c
-	}
-	return rec(f) << uint(m.nodes[f].level)
 }
 
 // Support returns the variables f depends on, in increasing order.

@@ -83,23 +83,6 @@ func TestCanonicity(t *testing.T) {
 	}
 }
 
-func TestSatCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 40; trial++ {
-		nvar := rng.Intn(10)
-		m := New(nvar)
-		tt := randomTT(rng, nvar)
-		f := m.FromTT(tt)
-		if got, want := m.SatCount(f), uint64(tt.CountOnes()); got != want {
-			t.Fatalf("SatCount = %d, want %d (nvar=%d)", got, want, nvar)
-		}
-	}
-	m := New(5)
-	if m.SatCount(True) != 32 || m.SatCount(False) != 0 {
-		t.Fatal("terminal SatCount wrong")
-	}
-}
-
 func TestSupport(t *testing.T) {
 	m := New(6)
 	f := m.And(m.Var(1), m.Xor(m.Var(3), m.Var(5)))
@@ -221,6 +204,5 @@ func BenchmarkITEChain(b *testing.B) {
 		for v := 0; v < 16; v++ {
 			f = m.Xor(f, m.Var(v))
 		}
-		_ = m.SatCount(f)
 	}
 }

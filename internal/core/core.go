@@ -68,14 +68,6 @@ type Options struct {
 	// convergence, resynthesized covers whose labels can rise without
 	// breaking feasibility revert to single structural LUTs.
 	Relax bool
-	// NoWarmStart disables seeding binary-search probes from the converged
-	// labels of the nearest already-decided feasible probe (labels are
-	// monotone non-increasing in phi, so those labels lower-bound the new
-	// probe's fixpoint; see DESIGN.md, "Warm-started probes"). The final
-	// mapping pass always runs cold, so verdicts, the minimized phi and the
-	// mapped network are identical either way; the flag exists as an escape
-	// hatch and to benchmark cold probes.
-	NoWarmStart bool
 	// NoWorklist disables the dirty-set worklist inside the per-component
 	// Gauss-Seidel sweeps and restores full-membership passes (every member
 	// visited on every sweep). The worklist skips exactly the visits that
@@ -212,11 +204,10 @@ type Stats struct {
 	PLDChecks      int // predecessor-graph reachability checks
 	PLDHits        int // infeasibility detected by PLD
 
-	// Arena and warm-start effectiveness counters (see DESIGN.md).
+	// Arena effectiveness counters (see DESIGN.md).
 	ExpandBuilds   int // expansions built from scratch
 	ExpandReuses   int // expansions served by in-place Tighten/Loosen
 	ArenaPeakBytes int // high-water footprint of the busiest scratch arena
-	WarmStarts     int // search probes seeded from a neighbouring probe's labels
 
 	// Engine arena-pool effectiveness (zero on the throwaway path, where
 	// states have no pool): how many worker arenas this run checked out, and
@@ -289,7 +280,6 @@ func (s *Stats) Add(s2 Stats) {
 	if s2.ArenaPeakBytes > s.ArenaPeakBytes {
 		s.ArenaPeakBytes = s2.ArenaPeakBytes
 	}
-	s.WarmStarts += s2.WarmStarts
 	s.ArenaCheckouts += s2.ArenaCheckouts
 	s.ArenaPoolHits += s2.ArenaPoolHits
 	s.BoundSetsExamined += s2.BoundSetsExamined

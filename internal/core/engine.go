@@ -43,8 +43,7 @@ type analysis struct {
 	// sameFlat/sameOff: per-node same-component successor lists (CSR) — the
 	// nodes the worklist re-marks dirty when id's label raises. Only
 	// intra-SCC edges appear: a raise never needs to mark across components,
-	// because downstream components either seed fully dirty (cold probes) or
-	// reconcile against upstream labels when they start (warm probes); see
+	// because downstream components seed fully dirty when they start; see
 	// iterateComp. Duplicate edges (parallel fanins) repeat here — marking a
 	// dirty bit twice is free.
 	sameFlat []int32

@@ -77,23 +77,11 @@ func MinimizeContext(ctx context.Context, c *netlist.Circuit, opts Options) (*Re
 	return e.MinimizeContext(ctx, opts)
 }
 
-// warmUseful reports whether labels converged at seedPhi should seed a
-// probe at phi. Seeding is always sound (the seed lower-bounds the probe's
-// fixpoint), but its payoff decays with distance: far below seedPhi the
-// bound is loose while it still pushes the very first sweeps into large
-// expansions, where K-cut checks are most expensive — on small circuits a
-// distant infeasible probe runs measurably slower warm than cold (bbara's
-// TurboMap probe at phi=1 seeded from phi=3 nearly doubles its cut checks).
-// Probes within a factor of two of their seed keep the measured benefit, so
-// the gate skips only the far ones.
-func warmUseful(phi, seedPhi int) bool {
-	return 2*phi >= seedPhi
-}
-
 // minimizeSearch binary-searches the smallest feasible phi in [1, ub].
-// ub must be feasible. The accumulated statistics cover exactly the probes
-// on the canonical binary-search path, so totals match the sequential
-// search; speculative probes count only through the shared conc counters.
+// ub must be feasible. Every probe starts cold, from the paper's all-ones
+// lower bound (see DESIGN.md, "Cold probes"). The accumulated statistics
+// cover exactly the probes on the canonical binary-search path, so totals
+// match the sequential search; speculative probes count only through the shared conc counters.
 // On an aborting error the returned phi is the best feasible one proven
 // before the abort (-1 when none), so the caller can report partial
 // progress. Every probe checks its state (and through it, worker arenas)
@@ -103,13 +91,6 @@ func (e *Engine) minimizeSearch(ub int, opts Options, total *Stats, conc *stats.
 	if workers > 1 && opts.IterBudget <= 0 && ub > 2 {
 		return e.speculativeSearch(ub, opts, total, conc, guard, workers)
 	}
-	// Every later probe targets a phi below the best feasible one found so
-	// far, so the best probe's converged labels always qualify as a seed.
-	// The warm store owns its buffer: the probe's label array returns to the
-	// engine with the state and is overwritten by the next checkout.
-	warm := !opts.NoWarmStart && opts.IterBudget <= 0
-	var warmLabels []int
-	warmPhi := 0
 	var ring *obs.Ring
 	if opts.Trace != nil {
 		ring = opts.Trace.NewRing("search")
@@ -121,9 +102,6 @@ func (e *Engine) minimizeSearch(ub int, opts Options, total *Stats, conc *stats.
 		s := e.checkoutState(mid, opts)
 		s.attach(e.cache, conc, nil)
 		s.guard = guard
-		if warm && warmLabels != nil && warmUseful(mid, warmPhi) {
-			s.seedLabels(warmLabels, warmPhi)
-		}
 		var t0 int64
 		if ring != nil {
 			t0 = ring.Now()
@@ -145,8 +123,6 @@ func (e *Engine) minimizeSearch(ub int, opts Options, total *Stats, conc *stats.
 		if ok {
 			best = mid
 			opts.Progress.SetBestPhi(mid)
-			warmLabels = append(warmLabels[:0], s.labels...)
-			warmPhi = mid
 			hi = mid - 1
 		} else {
 			lo = mid + 1
@@ -168,7 +144,6 @@ type probe struct {
 	ok     bool
 	err    error // aborting error (ctx, strict budget, contained panic)
 	stats  Stats
-	labels []int // converged labels when ok (warm-start seed for later probes)
 	// Tracing bookkeeping, written only by the search goroutine: the launch
 	// time on the search ring, and whether the probe's span was recorded yet
 	// (midpoints record at acceptance, everything else at the wind-down join).
@@ -235,18 +210,6 @@ func (e *Engine) speculativeSearch(ub int, opts Options, total *Stats, conc *sta
 		}
 	}
 
-	// Warm-start store: every launch targets a phi at or below hi, which is
-	// strictly below the best feasible probe accepted so far, so the latest
-	// accepted probe's labels always qualify as a seed (subject to the same
-	// warmUseful distance gate as the sequential search). The store is read
-	// and written only on this goroutine (launches and accepts both happen
-	// in the search loop), and a stored slice is never mutated again — the
-	// probe copied it out of its state before checkin, and seeding copies it
-	// into the new probe's state.
-	warm := !opts.NoWarmStart
-	var warmLabels []int
-	warmPhi := 0
-
 	running := make(map[int]*probe)
 	var all []*probe // every probe ever launched, for the wind-down join
 	launch := func(phi int) {
@@ -260,10 +223,6 @@ func (e *Engine) speculativeSearch(ub int, opts Options, total *Stats, conc *sta
 		running[phi] = p
 		all = append(all, p)
 		conc.AddProbeLaunched()
-		seed, seedPhi := warmLabels, warmPhi
-		if !warmUseful(phi, warmPhi) {
-			seed = nil
-		}
 		go func() {
 			defer close(p.done)
 			s := e.checkoutState(phi, popts)
@@ -279,15 +238,8 @@ func (e *Engine) speculativeSearch(ub int, opts Options, total *Stats, conc *sta
 			}()
 			s.attach(e.cache, conc, &p.cancel)
 			s.guard = guard
-			if seed != nil {
-				s.seedLabels(seed, seedPhi)
-			}
 			p.ok, p.err = s.run()
 			p.stats = s.stats
-			if p.ok {
-				// Copy out before the deferred checkin recycles the state.
-				p.labels = append([]int(nil), s.labels...)
-			}
 		}()
 	}
 	drop := func(p *probe, cancelled bool) {
@@ -321,9 +273,6 @@ func (e *Engine) speculativeSearch(ub int, opts Options, total *Stats, conc *sta
 		if p.ok {
 			best = mid
 			opts.Progress.SetBestPhi(mid)
-			if warm {
-				warmLabels, warmPhi = p.labels, mid
-			}
 			hi = mid - 1
 		} else {
 			lo = mid + 1

@@ -14,14 +14,12 @@ import (
 // TestWorklistMatchesFullSweep is the determinism contract of
 // Options.NoWorklist: the dirty-set worklist skips exactly the member visits
 // that full sweeps would have elided as decision-cache no-ops, so for every
-// circuit, warm/cold mode, worker count and task grain the worklist path
-// must return the exact result of the full-sweep path — same phi, same
-// converged labels, same LUT count, byte-identical mapped netlist. For the
-// cold sequential configuration the iteration trajectories are identical
-// step for step, so every work counter must match too and the visit/skip
-// accounting must balance against the full-sweep visit total. (Warm probes
-// pre-decide carried-over labels, which legitimately changes the fast-pass
-// trajectory — there only results are pinned, not counters.)
+// circuit, worker count and task grain the worklist path must return the
+// exact result of the full-sweep path — same phi, same converged labels,
+// same LUT count, byte-identical mapped netlist. For the sequential
+// configuration the iteration trajectories are identical step for step, so
+// every work counter must match too and the visit/skip accounting must
+// balance against the full-sweep visit total.
 func TestWorklistMatchesFullSweep(t *testing.T) {
 	fenceGoroutines(t)
 	workerPools := []int{1, 2, 8}
@@ -29,7 +27,8 @@ func TestWorklistMatchesFullSweep(t *testing.T) {
 	cases := goldenCases()
 	if testing.Short() {
 		// The race CI job runs -short: keep one decomposing FSM, the
-		// mapping-only FSM and the cheap LFSR, one worker pool per mode.
+		// mapping-only FSM and the cheap LFSR, one pool each side of the
+		// sequential/parallel split.
 		workerPools = []int{1, 8}
 		grains = grains[1:]
 		cases = []goldenCase{cases[0], cases[3], cases[5]}
@@ -43,82 +42,75 @@ func TestWorklistMatchesFullSweep(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for _, cold := range []bool{false, true} {
-				mode := "warm"
-				if cold {
-					mode = "cold"
-				}
-				base := DefaultOptions()
-				base.K = tc.k
-				base.Decompose = tc.decompose
-				base.NoWarmStart = cold
+			base := DefaultOptions()
+			base.K = tc.k
+			base.Decompose = tc.decompose
 
-				// Full-sweep reference: sequential, worklist off. The
-				// parallel determinism contract pins every other
-				// configuration to this result.
-				ref := base
-				ref.Workers = 1
-				ref.NoWorklist = true
-				want, err := Minimize(c, ref)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantBLIF := blifBytes(t, want.Mapped)
-				if want.Stats.DirtySkips != 0 {
-					t.Fatalf("%s: full sweeps reported %d dirty skips", mode, want.Stats.DirtySkips)
-				}
+			// Full-sweep reference: sequential, worklist off. The parallel
+			// determinism contract pins every other configuration to this
+			// result.
+			ref := base
+			ref.Workers = 1
+			ref.NoWorklist = true
+			want, err := Minimize(c, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBLIF := blifBytes(t, want.Mapped)
+			if want.Stats.DirtySkips != 0 {
+				t.Fatalf("full sweeps reported %d dirty skips", want.Stats.DirtySkips)
+			}
 
-				for _, workers := range workerPools {
-					for _, grain := range grains {
-						opts := base
-						opts.Workers = workers
-						opts.TaskGrain = grain
-						got, err := Minimize(c, opts)
-						if err != nil {
-							t.Fatalf("%s j%d g%d: %v", mode, workers, grain, err)
+			for _, workers := range workerPools {
+				for _, grain := range grains {
+					opts := base
+					opts.Workers = workers
+					opts.TaskGrain = grain
+					got, err := Minimize(c, opts)
+					if err != nil {
+						t.Fatalf("j%d g%d: %v", workers, grain, err)
+					}
+					if got.Phi != want.Phi || got.LUTs != want.LUTs {
+						t.Errorf("j%d g%d: phi %d/%d, LUTs %d/%d",
+							workers, grain, got.Phi, want.Phi, got.LUTs, want.LUTs)
+					}
+					for id := range want.Labels {
+						if got.Labels[id] != want.Labels[id] {
+							t.Fatalf("j%d g%d: label[%d] = %d, full sweep %d",
+								workers, grain, id, got.Labels[id], want.Labels[id])
 						}
-						if got.Phi != want.Phi || got.LUTs != want.LUTs {
-							t.Errorf("%s j%d g%d: phi %d/%d, LUTs %d/%d",
-								mode, workers, grain, got.Phi, want.Phi, got.LUTs, want.LUTs)
+					}
+					if !bytes.Equal(blifBytes(t, got.Mapped), wantBLIF) {
+						t.Errorf("j%d g%d: mapped netlist differs from full-sweep path",
+							workers, grain)
+					}
+					if workers != 1 {
+						continue
+					}
+					// Sequential: trajectories identical, so all work
+					// counters match and skips balance visits.
+					for _, cnt := range []struct {
+						name      string
+						got, want int
+					}{
+						{"Iterations", got.Stats.Iterations, want.Stats.Iterations},
+						{"CutChecks", got.Stats.CutChecks, want.Stats.CutChecks},
+						{"ExpandBuilds", got.Stats.ExpandBuilds, want.Stats.ExpandBuilds},
+						{"ExpandReuses", got.Stats.ExpandReuses, want.Stats.ExpandReuses},
+						{"Decompositions", got.Stats.Decompositions, want.Stats.Decompositions},
+						{"DecompAttempts", got.Stats.DecompAttempts, want.Stats.DecompAttempts},
+						{"PLDChecks", got.Stats.PLDChecks, want.Stats.PLDChecks},
+						{"PLDHits", got.Stats.PLDHits, want.Stats.PLDHits},
+					} {
+						if cnt.got != cnt.want {
+							t.Errorf("j1 g%d: %s = %d, full sweep %d",
+								grain, cnt.name, cnt.got, cnt.want)
 						}
-						for id := range want.Labels {
-							if got.Labels[id] != want.Labels[id] {
-								t.Fatalf("%s j%d g%d: label[%d] = %d, full sweep %d",
-									mode, workers, grain, id, got.Labels[id], want.Labels[id])
-							}
-						}
-						if !bytes.Equal(blifBytes(t, got.Mapped), wantBLIF) {
-							t.Errorf("%s j%d g%d: mapped netlist differs from full-sweep path",
-								mode, workers, grain)
-						}
-						if workers != 1 || !cold {
-							continue
-						}
-						// Cold sequential: trajectories identical, so all
-						// work counters match and skips balance visits.
-						for _, cnt := range []struct {
-							name      string
-							got, want int
-						}{
-							{"Iterations", got.Stats.Iterations, want.Stats.Iterations},
-							{"CutChecks", got.Stats.CutChecks, want.Stats.CutChecks},
-							{"ExpandBuilds", got.Stats.ExpandBuilds, want.Stats.ExpandBuilds},
-							{"ExpandReuses", got.Stats.ExpandReuses, want.Stats.ExpandReuses},
-							{"Decompositions", got.Stats.Decompositions, want.Stats.Decompositions},
-							{"DecompAttempts", got.Stats.DecompAttempts, want.Stats.DecompAttempts},
-							{"PLDChecks", got.Stats.PLDChecks, want.Stats.PLDChecks},
-							{"PLDHits", got.Stats.PLDHits, want.Stats.PLDHits},
-						} {
-							if cnt.got != cnt.want {
-								t.Errorf("cold j1 g%d: %s = %d, full sweep %d",
-									grain, cnt.name, cnt.got, cnt.want)
-							}
-						}
-						if got.Stats.SweepNodeVisits+got.Stats.DirtySkips != want.Stats.SweepNodeVisits {
-							t.Errorf("cold j1 g%d: visits %d + skips %d != full-sweep visits %d",
-								grain, got.Stats.SweepNodeVisits, got.Stats.DirtySkips,
-								want.Stats.SweepNodeVisits)
-						}
+					}
+					if got.Stats.SweepNodeVisits+got.Stats.DirtySkips != want.Stats.SweepNodeVisits {
+						t.Errorf("j1 g%d: visits %d + skips %d != full-sweep visits %d",
+							grain, got.Stats.SweepNodeVisits, got.Stats.DirtySkips,
+							want.Stats.SweepNodeVisits)
 					}
 				}
 			}
@@ -127,7 +119,7 @@ func TestWorklistMatchesFullSweep(t *testing.T) {
 }
 
 // TestWorklistAvoidsWork pins the perf claim behind the worklist: on the
-// warm-started binary search (the default Minimize path) the dirty-set drain
+// binary search (the default Minimize path) the dirty-set drain
 // must elide a nonzero number of member visits and record a worklist
 // high-water mark no larger than the biggest updatable set could allow.
 func TestWorklistAvoidsWork(t *testing.T) {
@@ -146,7 +138,7 @@ func TestWorklistAvoidsWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Stats.DirtySkips == 0 {
-		t.Error("worklist elided no visits on the warm search")
+		t.Error("worklist elided no visits on the search")
 	}
 	if got.Stats.SweepNodeVisits >= want.Stats.SweepNodeVisits {
 		t.Errorf("worklist visits %d not below full-sweep visits %d",
@@ -162,9 +154,9 @@ func TestWorklistAvoidsWork(t *testing.T) {
 }
 
 // TestInjectedPanicWorklistWarmRecovers: a contained panic mid-probe leaves
-// per-probe dirty bits and warm pre-decided labels behind on states that go
-// back to the engine's pool. The next run on the same engine must reconcile
-// or reset all of it — completing bit-identically to the full-sweep one-shot
+// per-probe dirty bits and decision-cache entries behind on pooled states
+// that go back to the engine warm. The next run on the same engine must
+// reset all of it — completing bit-identically to the full-sweep one-shot
 // path, with the interrupted run's arenas poisoned (Discards > 0).
 func TestInjectedPanicWorklistWarmRecovers(t *testing.T) {
 	if testing.Short() {

@@ -66,13 +66,6 @@ func (n *Net) Reset(num int) {
 // NumNodes returns the node count.
 func (n *Net) NumNodes() int { return len(n.first) }
 
-// AddNode appends a fresh node and returns its id.
-func (n *Net) AddNode() int {
-	n.first = append(n.first, -1)
-	n.last = append(n.last, -1)
-	return len(n.first) - 1
-}
-
 // addHalf appends one directed arc u->v and links it at the tail of u's arc
 // list, preserving insertion order under traversal.
 func (n *Net) addHalf(u, v, capacity int) {

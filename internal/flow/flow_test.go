@@ -214,17 +214,3 @@ func TestWarmNetZeroAlloc(t *testing.T) {
 		t.Fatalf("warm Net cycle allocates %.1f objects/run, want 0", allocs)
 	}
 }
-
-func TestAddNode(t *testing.T) {
-	n := NewNet(1)
-	a := n.AddNode()
-	b := n.AddNode()
-	n.AddArc(0, a, 1)
-	n.AddArc(a, b, 1)
-	if f := n.MaxFlowUpTo(0, b, 5); f != 1 {
-		t.Fatalf("flow through appended nodes = %d", f)
-	}
-	if n.NumNodes() != 3 {
-		t.Fatalf("NumNodes = %d", n.NumNodes())
-	}
-}

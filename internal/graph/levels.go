@@ -1,5 +1,18 @@
 package graph
 
+// InDegrees returns the in-degree of every component in the condensation
+// DAG: the number of distinct predecessor components. A component with
+// in-degree zero depends on nothing and is immediately ready.
+func (s *SCCs) InDegrees() []int {
+	deg := make([]int, s.NumComps())
+	for c := range s.DAG {
+		for _, d := range s.DAG[c] {
+			deg[d]++
+		}
+	}
+	return deg
+}
+
 // Levels returns the longest-path layering of the condensation DAG: a
 // component with no predecessors has level 0, and otherwise its level is one
 // more than the maximum level among its predecessors. Every condensation
@@ -17,24 +30,4 @@ func (s *SCCs) Levels() []int {
 		}
 	}
 	return levels
-}
-
-// LevelGroups buckets component ids by their Levels value. Groups are
-// returned shallowest first, and components inside a group keep their
-// relative order from s.Order, so iterating groups front to back visits the
-// condensation in a topological order.
-func (s *SCCs) LevelGroups() [][]int {
-	levels := s.Levels()
-	maxLevel := -1
-	for _, l := range levels {
-		if l > maxLevel {
-			maxLevel = l
-		}
-	}
-	groups := make([][]int, maxLevel+1)
-	for _, c := range s.Order {
-		l := levels[c]
-		groups[l] = append(groups[l], c)
-	}
-	return groups
 }

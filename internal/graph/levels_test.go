@@ -6,6 +6,37 @@ import (
 	"testing/quick"
 )
 
+func randomSCCs(rng *rand.Rand) *SCCs {
+	n := 2 + rng.Intn(24)
+	g := NewSlice(n)
+	m := rng.Intn(3 * n)
+	for i := 0; i < m; i++ {
+		g.AddEdge(rng.Intn(n), rng.Intn(n))
+	}
+	return StronglyConnected(g)
+}
+
+// In-degrees must count exactly the condensation's edges into each
+// component.
+func TestDegreesMatchDAG(t *testing.T) {
+	cfg := &quick.Config{MaxCount: 60}
+	f := func(seed int64) bool {
+		s := randomSCCs(rand.New(rand.NewSource(seed)))
+		in := s.InDegrees()
+		pred := Reverse(s.DAG)
+		for c := 0; c < s.NumComps(); c++ {
+			if in[c] != len(pred[c]) {
+				t.Logf("component %d: in-degree %d, reverse DAG lists %d", c, in[c], len(pred[c]))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Every condensation edge must go to a strictly higher level, and the level
 // of a component must be exactly one more than its deepest predecessor
 // (longest-path layering, not just any topological layering).
@@ -51,54 +82,5 @@ func TestLevelsProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLevelGroupsPartitionInTopoOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 40; trial++ {
-		n := 2 + rng.Intn(20)
-		g := NewSlice(n)
-		m := rng.Intn(3 * n)
-		for i := 0; i < m; i++ {
-			g.AddEdge(rng.Intn(n), rng.Intn(n))
-		}
-		s := StronglyConnected(g)
-		levels := s.Levels()
-		groups := s.LevelGroups()
-		seen := make([]bool, s.NumComps())
-		total := 0
-		for l, group := range groups {
-			for _, c := range group {
-				if levels[c] != l {
-					t.Fatalf("component %d in group %d but has level %d", c, l, levels[c])
-				}
-				if seen[c] {
-					t.Fatalf("component %d appears twice", c)
-				}
-				seen[c] = true
-				total++
-			}
-		}
-		if total != s.NumComps() {
-			t.Fatalf("groups cover %d of %d components", total, s.NumComps())
-		}
-		// Concatenating groups front to back must be a topological order of
-		// the condensation: no edge may point into an earlier position.
-		pos := make([]int, s.NumComps())
-		i := 0
-		for _, group := range groups {
-			for _, c := range group {
-				pos[c] = i
-				i++
-			}
-		}
-		for c := 0; c < s.NumComps(); c++ {
-			for _, d := range s.DAG[c] {
-				if pos[d] <= pos[c] {
-					t.Fatalf("edge %d->%d violates the group order", c, d)
-				}
-			}
-		}
 	}
 }

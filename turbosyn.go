@@ -114,10 +114,6 @@ type Options struct {
 	// runtime.NumCPU(), 1 forces the sequential path. Results are
 	// bit-identical for every setting.
 	Workers int
-	// NoWarmStart disables seeding the phi search's probes from
-	// already-decided probes. Results are identical either way; the flag
-	// benchmarks cold probes (see core.Options.NoWarmStart).
-	NoWarmStart bool
 	// NoWorklist disables the dirty-set worklist inside the label sweeps,
 	// restoring full-membership passes. Results are bit-identical either
 	// way; the flag benchmarks the work avoidance (see
@@ -127,10 +123,6 @@ type Options struct {
 	Cmax     int
 	MaxH     int
 	LowDepth int
-	// TaskGrain is the dataflow scheduler's batching target in node updates
-	// per dispatched task (0 = default of 64). Pure scheduling — results are
-	// bit-identical for every setting (see core.Options.TaskGrain).
-	TaskGrain int
 	// CacheDir, when non-empty, persists the decomposition cache across runs
 	// under this directory (created if missing): the engine loads the cache
 	// log at start and appends this run's new outcomes at the end. A warm
@@ -232,9 +224,6 @@ func (o Options) validate() error {
 	}
 	if o.Workers < 0 {
 		return fmt.Errorf("turbosyn: Workers = %d is negative; use 0 for all CPUs or 1 for sequential", o.Workers)
-	}
-	if o.TaskGrain < 0 {
-		return fmt.Errorf("turbosyn: TaskGrain = %d is negative; use 0 for the default batching", o.TaskGrain)
 	}
 	if o.Cmax < 0 {
 		return fmt.Errorf("turbosyn: Cmax = %d is negative; use 0 for the paper's default of 15", o.Cmax)
@@ -341,9 +330,7 @@ func (o Options) coreOptions(pg *obs.Progress, logger *slog.Logger) core.Options
 		Pipelined:       o.Objective == MinRatio,
 		Relax:           !o.NoRelax,
 		Workers:         o.Workers,
-		NoWarmStart:     o.NoWarmStart,
 		NoWorklist:      o.NoWorklist,
-		TaskGrain:       o.TaskGrain,
 		CacheDir:        o.CacheDir,
 		BDDNodeBudget:   o.BDDNodeBudget,
 		RothKarpBudget:  o.RothKarpBudget,
