@@ -29,7 +29,7 @@ import (
 	"time"
 
 	"turbosyn"
-	"turbosyn/internal/prof"
+	"turbosyn/internal/obs"
 	"turbosyn/internal/server"
 )
 
@@ -95,7 +95,7 @@ func main() {
 		defer f.Close()
 		// Tag engine goroutines with their current stage so the profile can
 		// be split with `go tool pprof -tagfocus phase=flow` etc.
-		prof.Enable(true)
+		obs.EnablePprofLabels(true)
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fatal(err)
 		}
@@ -282,9 +282,9 @@ func main() {
 					// returns, so this is its complete partial-progress record.
 					s := met.Latest()
 					fmt.Fprintf(os.Stderr,
-						"turbosyn: %s: aborted during %s after %v (%v): best phi so far %s, %d iterations, %d/%d probes, %d degradations\n",
+						"turbosyn: %s: aborted during %s after %v (%v): best phi so far %s, %d iterations, %d probes (%d cancelled), %d degradations\n",
 						c.Name, s.Phase, s.Elapsed.Round(time.Millisecond), ce.Err,
-						phiString(s.BestPhi), s.Iterations, s.ProbesFinished, s.ProbesLaunched, s.Degradations)
+						phiString(s.BestPhi), s.Iterations, s.ProbesLaunched, s.ProbesCancelled, s.Degradations)
 					os.Exit(1)
 				}
 				fatal(fmt.Errorf("%s: %w", c.Name, err))

@@ -21,19 +21,25 @@ import (
 // replica copy of a successful decomposition. Recording passes allocate the
 // cover records they keep. Those are pinned only through the benchmarks.
 //
-// The property must hold in both observability configurations: with tracing
+// The property must hold in every observability configuration: with tracing
 // off, the obs hooks are single nil checks; with tracing on, every event is a
 // slot write into the worker's pre-allocated ring (obs package overhead
-// contract), so enabling -trace must not reintroduce allocation either.
+// contract), so enabling -trace must not reintroduce allocation either; and
+// with pprof labels on (-cpuprofile), every phase switch installs a label
+// context pre-built per stage.
 func TestWarmLabelSweepZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		rec  *obs.Recorder
+		name   string
+		rec    *obs.Recorder
+		labels bool
 	}{
-		{"obs-disabled", nil},
-		{"obs-enabled", obs.NewRecorder(0)},
+		{"obs-disabled", nil, false},
+		{"obs-enabled", obs.NewRecorder(0), false},
+		{"pprof-labels", nil, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			obs.EnablePprofLabels(tc.labels)
+			defer obs.EnablePprofLabels(false)
 			c := fsmCircuit(2, 7, 4)()
 			opts := DefaultOptions()
 			opts.Decompose = false
@@ -61,7 +67,7 @@ func TestWarmLabelSweepZeroAlloc(t *testing.T) {
 			if (ar.ring != nil) != (tc.rec != nil) {
 				t.Fatalf("arena ring attached = %v, want %v", ar.ring != nil, tc.rec != nil)
 			}
-			var st Stats
+			var st tally
 			sweep := func() {
 				// Invalidate the decision cache so every node re-runs the full
 				// expand + flow decision instead of short-circuiting.

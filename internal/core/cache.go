@@ -8,7 +8,6 @@ import (
 	"turbosyn/internal/decomp"
 	"turbosyn/internal/decomp/cachelog"
 	"turbosyn/internal/obs"
-	"turbosyn/internal/stats"
 )
 
 // decompCache memoizes decomp.Decompose outcomes behind mutex-striped
@@ -66,23 +65,14 @@ func (dc *decompCache) shardFor(key string) int {
 }
 
 // lookup returns the cached outcome (entry.tree nil = cached failure) and
-// whether the key was present, charging the hit/miss to the calling run's
-// counter set. The key is the caller's scratch: neither the hash
-// (maphash.Bytes equals maphash.String on the same bytes) nor the map index
-// m[string(key)] copies it.
-func (dc *decompCache) lookup(key []byte, conc *stats.Concurrency) (decompEntry, bool) {
+// whether the key was present. The key is the caller's scratch: neither the
+// hash (maphash.Bytes equals maphash.String on the same bytes) nor the map
+// index m[string(key)] copies it.
+func (dc *decompCache) lookup(key []byte) (decompEntry, bool) {
 	sh := &dc.shards[maphash.Bytes(dc.seed, key)%decompCacheShards]
 	sh.mu.Lock()
 	entry, ok := sh.m[string(key)]
 	sh.mu.Unlock()
-	if ok {
-		conc.AddCacheHit()
-		if entry.persisted {
-			conc.AddCachePersistedHit()
-		}
-	} else {
-		conc.AddCacheMiss()
-	}
 	return entry, ok
 }
 

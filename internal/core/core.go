@@ -30,7 +30,6 @@ import (
 	"turbosyn/internal/logic"
 	"turbosyn/internal/netlist"
 	"turbosyn/internal/obs"
-	"turbosyn/internal/stats"
 )
 
 // Options configures the label computation and mapping generation.
@@ -195,157 +194,9 @@ func DefaultOptions() Options {
 	return Options{Decompose: true, PLD: true, Pipelined: true, Relax: true}.withDefaults()
 }
 
-// Stats counts the work a run performed.
-type Stats struct {
-	Iterations     int // label-update passes (over SCC members)
-	CutChecks      int // flow-based K-cut existence checks
-	Decompositions int // successful sequential decompositions
-	DecompAttempts int // attempted sequential decompositions
-	PLDChecks      int // predecessor-graph reachability checks
-	PLDHits        int // infeasibility detected by PLD
-
-	// Arena effectiveness counters (see DESIGN.md).
-	ExpandBuilds   int // expansions built from scratch
-	ExpandReuses   int // expansions served by in-place Tighten/Loosen
-	ArenaPeakBytes int // high-water footprint of the busiest scratch arena
-
-	// Engine arena-pool effectiveness (zero on the throwaway path, where
-	// states have no pool): how many worker arenas this run checked out, and
-	// how many of those came warm from the pool instead of being created.
-	ArenaCheckouts int
-	ArenaPoolHits  int
-
-	// BoundSetsExamined counts the candidate bound sets Roth-Karp window
-	// scans actually examined (decomposition-cache hits replay none); the
-	// per-attempt counts also annotate decompose spans in exported traces.
-	BoundSetsExamined int
-
-	// Decomposition-tier counters: how tryDecompose outcomes were produced.
-	// RothKarpCalls counts full Roth-Karp window scans actually entered (the
-	// expensive tier; cache hits and cheaper tiers contribute none — the
-	// warm-cache CI gate pins its skip rate on this counter). ShannonSplits
-	// and DisjointPeels count decompositions settled by the cheaper
-	// cofactor-split and same-op-literal-peeling tiers.
-	RothKarpCalls int
-	ShannonSplits int
-	DisjointPeels int
-
-	// Degradations counts budget exhaustions absorbed by graceful
-	// degradation: nodes whose resynthesis was skipped or truncated by
-	// BDDNodeBudget/RothKarpBudget, and arenas released by ArenaByteBudget.
-	// Always 0 when no budget is configured. Under Options.Strict the first
-	// would-be degradation aborts the run with a *BudgetError instead.
-	Degradations int
-
-	// Concurrency counters (see Options.Workers and internal/stats).
-	Workers            int // effective worker-pool size (1 = sequential)
-	ParallelTasks      int // SCC tasks pulled from the dataflow ready queue
-	InlineTasks        int // trivial components chained inline (TaskGrain batching)
-	QueueDepthPeak     int // ready-queue depth high-water mark
-	WorkerOccupancy    int // peak simultaneously busy pool workers
-	BarriersEliminated int // level barriers the dataflow scheduler avoided
-	CacheShardHits     int // sharded decomposition-cache hits
-	CacheShardMisses   int // sharded decomposition-cache misses
-	CachePersistedHits int // hits served by entries loaded from a CacheDir log
-	CacheNPNHits       int // hits reached through a non-identity NPN transform
-	ProbesLaunched     int // feasibility probes started by the search
-	ProbesCancelled    int // speculative probes cancelled (lost branch)
-
-	// Worklist convergence accounting (see DESIGN.md §11). SweepNodeVisits
-	// counts the member visits label sweeps actually performed; DirtySkips
-	// counts the visits the dirty-set worklist elided because no predecessor
-	// label had changed since the member's last decision (always 0 under
-	// Options.NoWorklist, where every sweep visits every member);
-	// WorklistPeak is the largest number of members any single fast pass
-	// drained — the worklist analogue of QueueDepthPeak.
-	SweepNodeVisits int
-	DirtySkips      int
-	WorklistPeak    int
-
-	// Trace-recorder accounting (zero when Options.Trace is nil).
-	TraceEvents  int // events recorded across all per-worker rings
-	TraceDropped int // events overwritten by ring wrap (lost from the trace)
-}
-
-// Add accumulates s2 into s.
-func (s *Stats) Add(s2 Stats) {
-	s.Iterations += s2.Iterations
-	s.CutChecks += s2.CutChecks
-	s.Decompositions += s2.Decompositions
-	s.DecompAttempts += s2.DecompAttempts
-	s.PLDChecks += s2.PLDChecks
-	s.PLDHits += s2.PLDHits
-	s.ExpandBuilds += s2.ExpandBuilds
-	s.ExpandReuses += s2.ExpandReuses
-	if s2.ArenaPeakBytes > s.ArenaPeakBytes {
-		s.ArenaPeakBytes = s2.ArenaPeakBytes
-	}
-	s.ArenaCheckouts += s2.ArenaCheckouts
-	s.ArenaPoolHits += s2.ArenaPoolHits
-	s.BoundSetsExamined += s2.BoundSetsExamined
-	s.RothKarpCalls += s2.RothKarpCalls
-	s.ShannonSplits += s2.ShannonSplits
-	s.DisjointPeels += s2.DisjointPeels
-	s.Degradations += s2.Degradations
-	if s2.Workers > s.Workers {
-		s.Workers = s2.Workers
-	}
-	s.ParallelTasks += s2.ParallelTasks
-	s.InlineTasks += s2.InlineTasks
-	if s2.QueueDepthPeak > s.QueueDepthPeak {
-		s.QueueDepthPeak = s2.QueueDepthPeak
-	}
-	if s2.WorkerOccupancy > s.WorkerOccupancy {
-		s.WorkerOccupancy = s2.WorkerOccupancy
-	}
-	s.BarriersEliminated += s2.BarriersEliminated
-	s.CacheShardHits += s2.CacheShardHits
-	s.CacheShardMisses += s2.CacheShardMisses
-	s.CachePersistedHits += s2.CachePersistedHits
-	s.CacheNPNHits += s2.CacheNPNHits
-	s.ProbesLaunched += s2.ProbesLaunched
-	s.ProbesCancelled += s2.ProbesCancelled
-	s.SweepNodeVisits += s2.SweepNodeVisits
-	s.DirtySkips += s2.DirtySkips
-	if s2.WorklistPeak > s.WorklistPeak {
-		s.WorklistPeak = s2.WorklistPeak
-	}
-	if s2.TraceEvents > s.TraceEvents {
-		s.TraceEvents = s2.TraceEvents
-	}
-	if s2.TraceDropped > s.TraceDropped {
-		s.TraceDropped = s2.TraceDropped
-	}
-}
-
-// fold merges a scheduler-counter snapshot into s. Called once per public
-// API entry point, over counters shared by every probe of that call.
-func (s *Stats) fold(cs stats.ConcurrencySnapshot) {
-	if cs.Workers > s.Workers {
-		s.Workers = cs.Workers
-	}
-	s.ParallelTasks += cs.Tasks
-	s.InlineTasks += cs.InlineRuns
-	if cs.QueueDepthPeak > s.QueueDepthPeak {
-		s.QueueDepthPeak = cs.QueueDepthPeak
-	}
-	if cs.BusyWorkersPeak > s.WorkerOccupancy {
-		s.WorkerOccupancy = cs.BusyWorkersPeak
-	}
-	s.BarriersEliminated += cs.BarriersEliminated
-	s.CacheShardHits += cs.CacheHits
-	s.CacheShardMisses += cs.CacheMisses
-	s.CachePersistedHits += cs.CachePersistedHits
-	s.CacheNPNHits += cs.CacheNPNHits
-	s.ProbesLaunched += cs.ProbesLaunched
-	s.ProbesCancelled += cs.ProbesCancelled
-	// WorklistDepthPeak mirrors the per-sweep drain sizes already folded in
-	// through the per-probe Stats, so max (idempotent) rather than add; the
-	// live DirtySkips gauge is likewise only a mirror and is never folded.
-	if cs.WorklistDepthPeak > s.WorklistPeak {
-		s.WorklistPeak = cs.WorklistDepthPeak
-	}
-}
+// Stats counts the work a run performed (see obs.Stats and its
+// CounterTable).
+type Stats = obs.Stats
 
 // Replica is a node of an expanded circuit recorded in a cover: circuit
 // node Orig observed through W registers.

@@ -9,7 +9,6 @@ import (
 	"turbosyn/internal/netlist"
 	"turbosyn/internal/obs"
 	"turbosyn/internal/retime"
-	"turbosyn/internal/stats"
 )
 
 // analysis is everything the label engine derives from the circuit alone —
@@ -18,8 +17,8 @@ import (
 // probe, sequential or speculative: the comb topo order, the SCC
 // decomposition and condensation levels, per-component member order, the
 // condensation in-degrees, and the per-component work summary the dataflow
-// scheduler needs (updatable member counts, triviality flags, the number of
-// schedulable components and of levels carrying work).
+// scheduler needs (updatable member counts, triviality flags and the number
+// of schedulable components).
 type analysis struct {
 	order  []int
 	sccs   *graph.SCCs
@@ -50,10 +49,9 @@ type analysis struct {
 	sameOff  []int32
 
 	// Dataflow-scheduler work summary (see runParallel).
-	updates    []int  // updatable members per component
-	trivial    []bool // singleton, acyclic components (inline-chainable)
-	workCount  int    // components with at least one updatable member
-	workLevels int    // condensation levels carrying schedulable work
+	updates   []int  // updatable members per component
+	trivial   []bool // singleton, acyclic components (inline-chainable)
+	workCount int    // components with at least one updatable member
 }
 
 // members returns component comp's members in comb topo order.
@@ -141,14 +139,9 @@ func analyze(c *netlist.Circuit) *analysis {
 			}
 		}
 	}
-	levelSeen := make([]bool, nc)
 	for comp := 0; comp < nc; comp++ {
 		if an.updates[comp] > 0 {
 			an.workCount++
-			if !levelSeen[an.levels[comp]] {
-				levelSeen[an.levels[comp]] = true
-				an.workLevels++
-			}
 		}
 		if members := an.members(comp); len(members) == 1 {
 			id := int(members[0])
@@ -360,7 +353,7 @@ func (e *Engine) checkinState(s *state) {
 	}
 	s.arenas = s.arenas[:0]
 	s.cache = nil
-	s.conc = nil
+	s.live = nil
 	s.cancel = nil
 	s.guard = nil
 	s.rec = nil
@@ -389,19 +382,17 @@ func (e *Engine) FeasibleContext(ctx context.Context, phi int, opts Options) (bo
 	}
 	guard := startGuard(ctx)
 	defer guard.release()
-	conc := &stats.Concurrency{}
 	s := e.checkoutState(phi, opts)
 	defer e.checkinState(s)
-	s.attach(e.cache, conc, nil)
+	s.attach(e.cache, opts.Progress.Track(opts.Trace), nil)
 	s.guard = guard
-	opts.Progress.SetSampler(liveCounters(conc, opts.Trace))
 	var ring *obs.Ring
 	var t0 int64
 	if opts.Trace != nil {
 		ring = opts.Trace.NewRing("probe")
 		t0 = ring.Now()
 	}
-	conc.AddProbeLaunched()
+	s.stats.ProbesLaunched++
 	ok, err := s.run()
 	if ring != nil {
 		ring.Span(obs.OpProbe, t0, int64(phi), probeVerdict(ok, err))
@@ -410,9 +401,8 @@ func (e *Engine) FeasibleContext(ctx context.Context, phi int, opts Options) (bo
 		opts.Logger.Debug("probe", "phi", phi, "feasible", ok,
 			"iterations", s.stats.Iterations, "cutChecks", s.stats.CutChecks, "err", err)
 	}
-	st := s.stats
-	st.fold(conc.Snapshot())
-	foldTrace(&st, opts.Trace)
+	st := s.stats.Stats
+	st.TraceEvents, st.TraceDropped = opts.Trace.Totals()
 	if err != nil {
 		return false, st, wrapAbort(err, "probe", -1, st)
 	}
@@ -433,8 +423,7 @@ func (e *Engine) MapAtRatioContext(ctx context.Context, phi int, opts Options) (
 	}
 	guard := startGuard(ctx)
 	defer guard.release()
-	conc := &stats.Concurrency{}
-	opts.Progress.SetSampler(liveCounters(conc, opts.Trace))
+	live := opts.Progress.Track(opts.Trace)
 	opts.Progress.SetPhase("map")
 	var ring *obs.Ring
 	var t0 int64
@@ -442,44 +431,41 @@ func (e *Engine) MapAtRatioContext(ctx context.Context, phi int, opts Options) (
 		ring = opts.Trace.NewRing("map")
 		t0 = ring.Now()
 	}
-	res, st, err := e.mapAtRatio(phi, opts, conc, guard)
+	res, st, err := e.mapAtRatio(phi, opts, live, guard)
 	if ring != nil {
 		ring.Span(obs.OpMap, t0, int64(phi), probeVerdict(err == nil, err))
 	}
+	st.TraceEvents, st.TraceDropped = opts.Trace.Totals()
 	if err != nil {
-		st.fold(conc.Snapshot())
-		foldTrace(&st, opts.Trace)
 		return nil, wrapAbort(err, "map", -1, st)
 	}
-	res.Stats.fold(conc.Snapshot())
-	foldTrace(&res.Stats, opts.Trace)
+	res.Stats = st
 	return res, nil
 }
 
-// mapAtRatio is MapAtRatio over a search-wide counter set and context guard;
-// the caller folds the counters into the final Stats exactly once. The
-// returned Stats carry the partial work even when err != nil.
-func (e *Engine) mapAtRatio(phi int, opts Options, conc *stats.Concurrency, guard *runGuard) (*Result, Stats, error) {
+// mapAtRatio is MapAtRatio over a search-wide live view and context guard.
+// The returned Stats carry the partial work even when err != nil.
+func (e *Engine) mapAtRatio(phi int, opts Options, live *obs.Live, guard *runGuard) (*Result, Stats, error) {
 	s := e.checkoutState(phi, opts)
 	defer e.checkinState(s)
-	s.attach(e.cache, conc, nil)
+	s.attach(e.cache, live, nil)
 	s.guard = guard
-	conc.AddProbeLaunched()
+	s.stats.ProbesLaunched++
 	ok, err := s.run()
 	if err != nil {
-		return nil, s.stats, err
+		return nil, s.stats.Stats, err
 	}
 	if !ok {
-		return nil, s.stats, fmt.Errorf("core: target %d is infeasible for %s", phi, e.c.Name)
+		return nil, s.stats.Stats, fmt.Errorf("core: target %d is infeasible for %s", phi, e.c.Name)
 	}
 	if opts.Relax && opts.Decompose {
 		if err := s.relaxForArea(); err != nil {
-			return nil, s.stats, err
+			return nil, s.stats.Stats, err
 		}
 	}
 	m, origOf, err := s.generate()
 	if err != nil {
-		return nil, s.stats, err
+		return nil, s.stats.Stats, err
 	}
 	return &Result{
 		Phi: phi,
@@ -489,9 +475,9 @@ func (e *Engine) mapAtRatio(phi int, opts Options, conc *stats.Concurrency, guar
 		Mapped: m,
 		LUTs:   m.NumGates(),
 		OrigOf: origOf,
-		Stats:  s.stats,
+		Stats:  s.stats.Stats,
 		Opts:   opts,
-	}, s.stats, nil
+	}, s.stats.Stats, nil
 }
 
 // Minimize is MinimizeContext with a background context.
@@ -511,19 +497,17 @@ func (e *Engine) MinimizeContext(ctx context.Context, opts Options) (*Result, er
 	}
 	guard := startGuard(ctx)
 	defer guard.release()
-	// One counter set spans the whole search — every probe, speculative or
+	// One live view spans the whole search — every probe, speculative or
 	// not, and the final mapping pass. (The decomposition cache is the
 	// engine's and spans runs.)
-	conc := &stats.Concurrency{}
-	opts.Progress.SetSampler(liveCounters(conc, opts.Trace))
-	var total Stats
+	live := opts.Progress.Track(opts.Trace)
+	var total tally
 	fail := func(err error, phase string, best int) (*Result, error) {
 		if opts.Logger != nil {
 			opts.Logger.Warn("search aborted", "phase", phase, "bestPhi", best, "err", err)
 		}
-		total.fold(conc.Snapshot())
-		foldTrace(&total, opts.Trace)
-		return nil, wrapAbort(err, phase, best, total)
+		total.TraceEvents, total.TraceDropped = opts.Trace.Totals()
+		return nil, wrapAbort(err, phase, best, total.Stats)
 	}
 	ub := retime.Period(e.c)
 	if ub < 1 {
@@ -534,7 +518,7 @@ func (e *Engine) MinimizeContext(ctx context.Context, opts Options) (*Result, er
 		opts.Progress.SetPhase("turbomap-ub")
 		tmOpts := opts
 		tmOpts.Decompose = false
-		tm, err := e.minimizeSearch(ub, tmOpts, &total, conc, guard)
+		tm, err := e.minimizeSearch(ub, tmOpts, &total, live, guard)
 		if err != nil {
 			return fail(err, "turbomap-ub", tm)
 		}
@@ -544,7 +528,7 @@ func (e *Engine) MinimizeContext(ctx context.Context, opts Options) (*Result, er
 		ub = tm
 	}
 	opts.Progress.SetPhase("search")
-	best, err := e.minimizeSearch(ub, opts, &total, conc, guard)
+	best, err := e.minimizeSearch(ub, opts, &total, live, guard)
 	if err != nil {
 		return fail(err, "search", best)
 	}
@@ -555,17 +539,15 @@ func (e *Engine) MinimizeContext(ctx context.Context, opts Options) (*Result, er
 		mapRing = opts.Trace.NewRing("map")
 		t0 = mapRing.Now()
 	}
-	res, st, err := e.mapAtRatio(best, opts, conc, guard)
+	res, st, err := e.mapAtRatio(best, opts, live, guard)
 	if mapRing != nil {
 		mapRing.Span(obs.OpMap, t0, int64(best), probeVerdict(err == nil, err))
 	}
+	total.Add(st)
 	if err != nil {
-		total.Add(st)
 		return fail(err, "map", best)
 	}
-	total.Add(res.Stats)
-	res.Stats = total
-	res.Stats.fold(conc.Snapshot())
-	foldTrace(&res.Stats, opts.Trace)
+	res.Stats = total.Stats
+	res.Stats.TraceEvents, res.Stats.TraceDropped = opts.Trace.Totals()
 	return res, nil
 }

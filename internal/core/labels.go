@@ -15,7 +15,6 @@ import (
 	"turbosyn/internal/logic"
 	"turbosyn/internal/netlist"
 	"turbosyn/internal/obs"
-	"turbosyn/internal/stats"
 )
 
 // coverRec is the realization recorded for a gate on the final (consistent)
@@ -45,8 +44,7 @@ type state struct {
 	// levels is the longest-path layering of the condensation. The
 	// sequential sweep uses it to bound sccIsolated's predecessor walk (on
 	// that path "lower level" does imply "finished"); the dataflow
-	// scheduler counts the level waves it no longer waits on
-	// (Stats.BarriersEliminated) and gates the walk on compDone instead.
+	// scheduler gates the walk on compDone instead.
 	levels []int
 
 	// Decision cache: a gate is re-decided only when its L changed since
@@ -74,7 +72,9 @@ type state struct {
 	// iterations; this cache removes the repeated Roth-Karp window scans.
 	// It is safe to share across workers and probes (see cache.go).
 	cache *decompCache
-	conc  *stats.Concurrency
+	// live, non-nil only when a progress tracker is attached, is the run's
+	// live Stats: workers publish their tallies into it once per sweep.
+	live *obs.Live
 	// rec, when non-nil, is the run's span recorder (Options.Trace). Worker
 	// arenas attach their rings from it; nil keeps every hook a single
 	// pointer check.
@@ -124,25 +124,24 @@ type state struct {
 	arenas []*arena
 
 	recs  []coverRec
-	stats Stats
+	stats tally
 }
 
 const labelInf = int(1) << 28
 
 // newState builds a standalone probe state: a throwaway analysis, a private
-// decomposition cache and counter set, no arena pool. The engine paths use
+// decomposition cache, no arena pool. The engine paths use
 // checkoutState instead; this remains for the direct-probe tests.
 func newState(c *netlist.Circuit, phi int, opts Options) *state {
 	s := blankState(c, analyze(c), nil)
 	s.resetFor(phi, opts)
 	s.cache = newDecompCache()
-	s.conc = &stats.Concurrency{}
 	return s
 }
 
 // blankState allocates a probe state's per-circuit arrays and wires in the
 // shared analysis and (optionally) the engine's arena pool. The state is not
-// usable until resetFor ran and a cache and counter set were attached.
+// usable until resetFor ran and a cache was attached.
 func blankState(c *netlist.Circuit, an *analysis, pool *arenaPool) *state {
 	n := c.NumNodes()
 	nc := an.sccs.NumComps()
@@ -170,7 +169,7 @@ func blankState(c *netlist.Circuit, an *analysis, pool *arenaPool) *state {
 // resets everything a previous probe could have touched — labels, the
 // decision cache, backoff counters, cover records, the fail set — so a
 // pooled state is indistinguishable from a new one even after the previous
-// probe aborted mid-flight. The cache, counters, cancel flag and guard are
+// probe aborted mid-flight. The cache, live view, cancel flag and guard are
 // cleared; the caller attaches its own.
 func (s *state) resetFor(phi int, opts Options) {
 	s.opts = opts
@@ -178,13 +177,13 @@ func (s *state) resetFor(phi int, opts Options) {
 	s.rec = opts.Trace
 	s.workers = opts.workerCount()
 	s.cache = nil
-	s.conc = nil
+	s.live = nil
 	s.cancel = nil
 	s.guard = nil
 	s.compDone = nil
 	s.fails.reset()
 	s.failed.Store(false)
-	s.stats = Stats{}
+	s.stats = tally{}
 	for i := range s.lastL {
 		s.lastL[i] = -labelInf
 		s.decided[i] = false
@@ -205,12 +204,12 @@ func (s *state) resetFor(phi int, opts Options) {
 	}
 }
 
-// attach shares a search-wide decomposition cache, concurrency counters and
-// cancellation flag with this probe (see Minimize: one cache and one counter
-// set span every probe of the binary search).
-func (s *state) attach(cache *decompCache, conc *stats.Concurrency, cancel *atomic.Bool) {
+// attach shares a search-wide decomposition cache, live view (nil without
+// a progress tracker) and cancellation flag with this probe (see Minimize:
+// one cache and one live view span every probe of the binary search).
+func (s *state) attach(cache *decompCache, live *obs.Live, cancel *atomic.Bool) {
 	s.cache = cache
-	s.conc = conc
+	s.live = live
 	s.cancel = cancel
 }
 
@@ -256,16 +255,14 @@ func (s *state) finishRun(ok bool) (bool, error) {
 // degrade absorbs one resource-budget exhaustion: counted in
 // st.Degradations by default (the node falls back to the structural
 // feasibility check), fatal under Options.Strict. It reports whether the
-// run continues gracefully. Graceful degradations emit a trace instant and
-// bump the live counter so progress reports and traces show quality loss as
-// it happens.
-func (s *state) degrade(st *Stats, ar *arena, resource string, node, limit int) bool {
+// run continues gracefully. Graceful degradations emit a trace instant, so
+// traces show quality loss as it happens.
+func (s *state) degrade(st *tally, ar *arena, resource string, node, limit int) bool {
 	if s.opts.Strict {
 		s.fails.fail(&BudgetError{Resource: resource, Node: node, Limit: limit})
 		return false
 	}
 	st.Degradations++
-	s.conc.AddDegradation()
 	if ar.ring != nil {
 		ar.ring.Instant(obs.OpDegrade, int64(node), int64(limit))
 	}
@@ -297,13 +294,21 @@ func (s *state) computeL(v int) int {
 // labels, covers and verdicts: a component's computation reads only its own
 // members and upstream components, and upstream components are final before
 // the component starts in either schedule.
+//
+// The run's counters accumulate in s.stats; whatever of them the sweeps did
+// not publish yet goes to the live view before run returns.
 func (s *state) run() (bool, error) {
-	defer s.conc.AddProbeFinished()
+	defer s.stats.publish(s.live)
 	s.failed.Store(false)
 	if s.workers > 1 && s.opts.IterBudget <= 0 {
 		return s.runParallel()
 	}
-	s.conc.SetWorkers(1)
+	return s.runSequential()
+}
+
+// runSequential runs every component in topological order on arena 0.
+func (s *state) runSequential() (bool, error) {
+	s.stats.Workers = max(s.stats.Workers, 1)
 	ar := s.arenaFor(0)
 	for _, comp := range s.sccs.Order {
 		if s.safeRunComp(comp, &s.stats, ar) != compConverged {
@@ -352,7 +357,7 @@ const (
 // rest of the run observes through stopped(). The scheduler's bookkeeping
 // (finish, pending counters, queue close) therefore always runs, so a
 // panicking component can never strand its successors or deadlock the pool.
-func (s *state) safeRunComp(comp int, st *Stats, ar *arena) (out compOutcome) {
+func (s *state) safeRunComp(comp int, st *tally, ar *arena) (out compOutcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			// The panic may have interrupted the arena's scratch mid-mutation;
@@ -372,7 +377,7 @@ func (s *state) safeRunComp(comp int, st *Stats, ar *arena) (out compOutcome) {
 // touch only the component's members and the arena, so concurrent
 // invocations on dependency-free components with distinct arenas are
 // disjoint.
-func (s *state) runComp(comp int, st *Stats, ar *arena) compOutcome {
+func (s *state) runComp(comp int, st *tally, ar *arena) compOutcome {
 	var t0 int64
 	if ar.ring != nil {
 		t0 = ar.ring.Now()
@@ -389,10 +394,7 @@ func (s *state) runComp(comp int, st *Stats, ar *arena) compOutcome {
 		}
 	}
 	b := ar.bytes()
-	if b > st.ArenaPeakBytes {
-		st.ArenaPeakBytes = b
-	}
-	s.conc.ObserveArenaBytes(b)
+	st.ArenaPeakBytes = max(st.ArenaPeakBytes, b)
 	if lim := s.opts.ArenaByteBudget; lim > 0 && b > lim {
 		// The arena outgrew its budget: release the retained scratch back to
 		// the allocator. Arenas are pure scratch, so results are unaffected;
@@ -406,7 +408,7 @@ func (s *state) runComp(comp int, st *Stats, ar *arena) compOutcome {
 
 // iterateComp is runComp's body; runComp wraps it to record the arena
 // high-water mark once per component run.
-func (s *state) iterateComp(comp int, st *Stats, ar *arena) compOutcome {
+func (s *state) iterateComp(comp int, st *tally, ar *arena) compOutcome {
 	// Sound runaway certificate: in any feasible mapping the needed LUTs
 	// number at most the gate count, simple LUT-level paths bound arrivals
 	// by that count, and loops contribute nothing positive — so a label
@@ -467,7 +469,6 @@ func (s *state) iterateComp(comp int, st *Stats, ar *arena) compOutcome {
 			return compInfeasible
 		}
 		st.Iterations++
-		s.conc.AddIteration()
 		changed := false
 		visited := 0
 		for _, id32 := range updatable {
@@ -487,16 +488,12 @@ func (s *state) iterateComp(comp int, st *Stats, ar *arena) compOutcome {
 				}
 			}
 		}
-		// The live gauges pay a few atomic adds per sweep, not per node —
-		// the hot path stays untouched.
 		st.SweepNodeVisits += visited
 		st.DirtySkips += len(updatable) - visited
-		if visited > st.WorklistPeak {
-			st.WorklistPeak = visited
-		}
-		s.conc.AddNodeUpdates(visited)
-		s.conc.AddDirtySkips(len(updatable) - visited)
-		s.conc.ObserveWorklist(visited)
+		st.WorklistPeak = max(st.WorklistPeak, visited)
+		// The live view pays one publish per sweep, not per node — the hot
+		// path stays untouched.
+		st.publish(s.live)
 		if !changed {
 			// Recording pass: re-decide everything at the converged
 			// labels and keep the covers — the worklist never thins this
@@ -504,7 +501,6 @@ func (s *state) iterateComp(comp int, st *Stats, ar *arena) compOutcome {
 			// sweep. A change here means the Gauss-Seidel sweep raced
 			// itself; keep iterating.
 			st.Iterations++
-			s.conc.AddIteration()
 			for ui, id32 := range updatable {
 				if ui&checkpointMask == checkpointMask && s.stopped() {
 					return compCancelled
@@ -519,7 +515,6 @@ func (s *state) iterateComp(comp int, st *Stats, ar *arena) compOutcome {
 				}
 			}
 			st.SweepNodeVisits += len(updatable)
-			s.conc.AddNodeUpdates(len(updatable))
 			if !changed {
 				return compConverged
 			}
@@ -548,7 +543,7 @@ func (s *state) iterateComp(comp int, st *Stats, ar *arena) compOutcome {
 
 // update re-decides node id's label. record requests cover recording (used
 // on the final fresh pass). It reports whether the label changed.
-func (s *state) update(id int, record bool, st *Stats, ar *arena) bool {
+func (s *state) update(id int, record bool, st *tally, ar *arena) bool {
 	ar.curNode = id // attributes a contained panic to the node being decided
 	n := s.c.Nodes[id]
 	L := s.computeL(id)
@@ -595,7 +590,7 @@ func (s *state) markDirty(id int) {
 // expansion: the structural check builds E_v at bound L, the resynthesis
 // probes tighten it in place to L-1, L-2, ... and the L+1 settle re-marks
 // it looser — only the flow computation reruns per bound.
-func (s *state) decide(id, L int, record bool, st *Stats, ar *arena) (int, coverRec) {
+func (s *state) decide(id, L int, record bool, st *tally, ar *arena) (int, coverRec) {
 	xopts := expand.Options{LowDepth: s.opts.LowDepth, MaxNodes: s.opts.MaxExpand}
 	// Structural K-cut of height <= L?
 	st.CutChecks++
@@ -672,7 +667,7 @@ func (s *state) decide(id, L int, record bool, st *Stats, ar *arena) (int, cover
 // The probes reuse decide's expansion at bound L: dropping the bound only
 // grows the expanded region, so each probe Tightens the arena's builder in
 // place instead of re-expanding from scratch.
-func (s *state) tryDecompose(id, L int, st *Stats, ar *arena) (*decomp.Tree, []Replica, bool) {
+func (s *state) tryDecompose(id, L int, st *tally, ar *arena) (*decomp.Tree, []Replica, bool) {
 	if !ar.built {
 		// The expansion at bound L already overflowed the node cap; every
 		// tighter bound expands a superset and fails the same way.
@@ -742,21 +737,24 @@ func (s *state) tryDecompose(id, L int, st *Stats, ar *arena) (*decomp.Tree, []R
 		ar.canonPrio = canonPrio
 		effort := decomp.Effort{BDDNodes: s.opts.BDDNodeBudget, MaxBoundSets: s.opts.RothKarpBudget, Stats: &estats, Pool: &ar.tt}
 		ar.key = appendDecompKey(ar.key[:0], s.opts.K, h+1, canonPrio, canon, effort)
-		entry, cached := s.cache.lookup(ar.key, s.conc)
-		if cached && !ctr.Identity() {
-			s.conc.AddCacheNPNHit()
-		}
-		if ar.ring != nil {
-			if cached {
-				ar.ring.Instant(obs.OpCacheHit, int64(id), int64(h))
-			} else {
-				ar.ring.Instant(obs.OpCacheMiss, int64(id), int64(h))
+		entry, cached := s.cache.lookup(ar.key)
+		if cached {
+			st.CacheShardHits++
+			if entry.persisted {
+				st.CachePersistedHits++
 			}
-		}
-		if !cached {
+			if !ctr.Identity() {
+				st.CacheNPNHits++
+			}
+			if ar.ring != nil {
+				ar.ring.Instant(obs.OpCacheHit, int64(id), int64(h))
+			}
+		} else {
+			st.CacheShardMisses++
 			examinedBefore := estats.BoundSetsExamined
 			var tDec int64
 			if ar.ring != nil {
+				ar.ring.Instant(obs.OpCacheMiss, int64(id), int64(h))
 				tDec = ar.ring.Now()
 			}
 			tree, ok, degraded := decomp.DecomposeEffort(canon, s.opts.K, h+1, canonPrio, effort)

@@ -1,22 +1,11 @@
 package core
 
-import (
-	"turbosyn/internal/obs"
-	"turbosyn/internal/prof"
-	"turbosyn/internal/stats"
-)
+import "turbosyn/internal/obs"
 
-// phase switches both observability planes for the calling worker in one
-// call: the pprof goroutine label (when -cpuprofile profiling is enabled)
-// and the worker ring's stage span (when tracing is enabled). With both off
-// it costs two predictable branches and allocates nothing, preserving the
-// warm structural sweep's zero-allocation invariant.
-func phase(ar *arena, op obs.Op) {
-	prof.Phase(op)
-	if ar.ring != nil {
-		ar.ring.Phase(op, int64(ar.curNode))
-	}
-}
+// phase switches the calling worker's stage on both observability planes
+// (see obs.Phase); with both off it allocates nothing, preserving the warm
+// structural sweep's zero-allocation invariant.
+func phase(ar *arena, op obs.Op) { obs.Phase(ar.ring, op, int64(ar.curNode)) }
 
 // attachRing gives a freshly created worker arena its trace ring. Cold path:
 // called once per (probe, worker), never inside a sweep.
@@ -26,42 +15,21 @@ func (s *state) attachRing(ar *arena, label string) {
 	}
 }
 
-// liveCounters builds the progress tracker's sampler: a closure the ticker
-// goroutine calls at its reporting interval to read the run's shared atomic
-// counters (and, when tracing, the recorder's event totals).
-func liveCounters(conc *stats.Concurrency, rec *obs.Recorder) func() obs.Counters {
-	return func() obs.Counters {
-		cs := conc.Snapshot()
-		c := obs.Counters{
-			Workers:         cs.Workers,
-			NodesLabeled:    cs.NodeUpdates,
-			NodesSkipped:    cs.DirtySkips,
-			Iterations:      cs.Iterations,
-			ProbesLaunched:  cs.ProbesLaunched,
-			ProbesFinished:  cs.ProbesFinished,
-			ReadyQueueDepth: cs.QueueDepth,
-			QueueDepthPeak:  cs.QueueDepthPeak,
-			WorklistDepth:   cs.WorklistDepth,
-			WorklistPeak:    cs.WorklistDepthPeak,
-			Degradations:    cs.Degradations,
-			ArenaPeakBytes:  cs.ArenaPeakBytes,
-			CacheHits:       cs.CacheHits,
-			CacheMisses:     cs.CacheMisses,
-			CachePersisted:  cs.CachePersistedHits,
-		}
-		if rec != nil {
-			c.TraceEvents, c.TraceDropped = rec.Totals()
-		}
-		return c
-	}
+// tally is one worker's counter accumulator: the Stats it counts into and
+// the part of them already published to the run's live view.
+type tally struct {
+	Stats
+	pub Stats
 }
 
-// foldTrace records the recorder's event totals into st (once, at a public
-// API boundary).
-func foldTrace(st *Stats, rec *obs.Recorder) {
-	if rec != nil {
-		st.TraceEvents, st.TraceDropped = rec.Totals()
-	}
+// publish pushes what t counted since its last publish into live. Without
+// a progress tracker live is nil and publish does nothing.
+func (t *tally) publish(live *obs.Live) { live.Publish(&t.Stats, &t.pub) }
+
+// merge folds o into t: its counts and the part of them already published.
+func (t *tally) merge(o *tally) {
+	t.Stats.Add(o.Stats)
+	t.pub.Add(o.pub)
 }
 
 // probeVerdict encodes a probe outcome as the OpProbe span argument.

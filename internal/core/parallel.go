@@ -28,7 +28,7 @@ import (
 // then returns to the queue. Chaining is pure scheduling: an inline run is
 // exactly a push immediately followed by a pop by the same worker.
 func (s *state) runParallel() (bool, error) {
-	s.conc.SetWorkers(s.workers)
+	s.stats.Workers = max(s.stats.Workers, s.workers)
 	nc := s.sccs.NumComps()
 
 	// Per-component work summary, precomputed once per circuit in analyze
@@ -49,19 +49,8 @@ func (s *state) runParallel() (bool, error) {
 	if workers <= 1 {
 		// A single worker's dataflow order is the topological sweep; skip
 		// the queue machinery entirely.
-		ar := s.arenaFor(0)
-		for _, comp := range s.sccs.Order {
-			if s.safeRunComp(comp, &s.stats, ar) != compConverged {
-				return s.finishRun(false)
-			}
-		}
-		return s.finishRun(s.checkOutputs())
+		return s.runSequential()
 	}
-
-	// Record what the retired level-synchronized scheduler would have cost
-	// on this condensation: one barrier wait between consecutive levels
-	// that carry schedulable work.
-	s.conc.AddBarriersEliminated(s.an.workLevels - 1)
 
 	// Scheduler bookkeeping lives on the pooled state (pendingBuf,
 	// compDoneBuf): the condensation of a 100k-gate netlist has on the order
@@ -78,7 +67,7 @@ func (s *state) runParallel() (bool, error) {
 		s.compDoneBuf[comp].Store(false)
 	}
 	s.compDone = s.compDoneBuf
-	workerStats := make([]Stats, workers)
+	workerStats := make([]tally, workers)
 	var (
 		aborted   atomic.Bool
 		remaining atomic.Int64
@@ -101,8 +90,9 @@ func (s *state) runParallel() (bool, error) {
 	// grain budget allows; everything else enters the ready queue. Returns
 	// the inline component, or -1. When the last component completes, the
 	// queue is closed: every enqueue of a component happens before that
-	// component's own completion, so no send can follow the close.
-	finish := func(comp int, wantInline bool) int {
+	// component's own completion, so no send can follow the close. st is
+	// the calling goroutine's tally.
+	finish := func(comp int, wantInline bool, st *tally) int {
 		next := -1
 		stack := [...]int{comp}
 		cascade := stack[:1:1]
@@ -119,10 +109,10 @@ func (s *state) runParallel() (bool, error) {
 					cascade = append(cascade, d)
 				case wantInline && next < 0 && trivial[d]:
 					next = d
-					s.conc.AddInlineRun()
+					st.InlineTasks++
 				default:
 					ready <- d
-					s.conc.ObserveQueueDepth(len(ready))
+					st.QueueDepthPeak = max(st.QueueDepthPeak, len(ready))
 				}
 			}
 			if remaining.Add(-1) == 0 {
@@ -132,7 +122,7 @@ func (s *state) runParallel() (bool, error) {
 		return next
 	}
 
-	runOne := func(comp int, st *Stats, ar *arena) {
+	runOne := func(comp int, st *tally, ar *arena) {
 		if s.stopped() {
 			// A sibling proved phi infeasible, the search cancelled the
 			// probe, the context expired or a fatal error was recorded: stop
@@ -163,10 +153,10 @@ func (s *state) runParallel() (bool, error) {
 			continue
 		}
 		if updates[comp] == 0 {
-			finish(comp, false)
+			finish(comp, false, &s.stats)
 		} else {
 			ready <- comp
-			s.conc.ObserveQueueDepth(len(ready))
+			s.stats.QueueDepthPeak = max(s.stats.QueueDepthPeak, len(ready))
 		}
 	}
 	// Hand every worker its scratch arena before launch: arenaFor grows
@@ -198,15 +188,15 @@ func (s *state) runParallel() (bool, error) {
 				}
 			}()
 			for comp := range ready {
-				s.conc.ObserveQueueDepth(len(ready))
-				s.conc.ObserveBusyWorkers(int(busy.Add(1)))
+				ws.QueueDepthPeak = max(ws.QueueDepthPeak, len(ready))
+				ws.WorkerOccupancy = max(ws.WorkerOccupancy, int(busy.Add(1)))
 				grain := 0
 				for comp >= 0 {
-					s.conc.AddTask()
+					ws.ParallelTasks++
 					faultinject.Delay()
 					runOne(comp, ws, ar)
 					grain += updates[comp]
-					comp = finish(comp, grain < s.opts.TaskGrain)
+					comp = finish(comp, grain < s.opts.TaskGrain, ws)
 				}
 				busy.Add(-1)
 			}
@@ -214,17 +204,20 @@ func (s *state) runParallel() (bool, error) {
 	}
 	wg.Wait()
 
-	// Merge work counters in worker-id order. On feasible runs the totals
-	// are schedule-independent regardless of merge order: every component's
+	// Merge work counters (with what of them the workers already published)
+	// in worker-id order. On feasible runs the totals are
+	// schedule-independent regardless of merge order: every component's
 	// iteration depends only on its own members and final upstream labels,
 	// so its counter contributions are fixed, and Add's integer sums and
 	// maxes commute. (On infeasible runs the amount of sibling work done
 	// before everyone noticed the failure still depends on timing —
 	// unchanged from the earlier per-component accumulators, which this
 	// per-worker form replaces to drop the O(components) per-probe
-	// allocation that dominated setup at the 100k-component scale.)
+	// allocation that dominated setup at the 100k-component scale.) The
+	// scheduler counters — tasks, inline runs, queue and occupancy peaks —
+	// describe the schedule itself and vary with it.
 	for w := range workerStats {
-		s.stats.Add(workerStats[w])
+		s.stats.merge(&workerStats[w])
 	}
 	if aborted.Load() {
 		return s.finishRun(false)

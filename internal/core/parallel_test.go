@@ -6,13 +6,13 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"turbosyn/internal/bench"
 	"turbosyn/internal/decomp"
 	"turbosyn/internal/logic"
 	"turbosyn/internal/netlist"
-	"turbosyn/internal/stats"
 )
 
 // goldenCase is one circuit/configuration of the equivalence matrix. The
@@ -180,10 +180,9 @@ func TestSchedulerStressRandom(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// One cache and counter set per circuit: the cache is keyed on
-			// full Decompose inputs, so sharing it across configurations
-			// cannot change any result.
-			conc := &stats.Concurrency{}
+			// One cache per circuit: the cache is keyed on full Decompose
+			// inputs, so sharing it across configurations cannot change any
+			// result.
 			cache := newDecompCache()
 			probe := func(phi, workers, grain int) (bool, []int) {
 				opts := base
@@ -191,7 +190,7 @@ func TestSchedulerStressRandom(t *testing.T) {
 				opts.TaskGrain = grain
 				opts = opts.withDefaults()
 				s := newState(c, phi, opts)
-				s.attach(cache, conc, nil)
+				s.attach(cache, nil, nil)
 				ok, err := s.run()
 				if err != nil {
 					t.Fatalf("phi=%d workers=%d grain=%d: unexpected run error: %v", phi, workers, grain, err)
@@ -227,11 +226,20 @@ func TestSchedulerStressRandom(t *testing.T) {
 // from many goroutines with overlapping keys (run under -race via the CI
 // race job). Keys mix distinct functions, depth budgets and priority orders;
 // values mix real decomposition trees and cached failures (nil). After the
-// storm every key must be present, and the counters must account for every
-// lookup exactly once.
+// storm every key must be present, and the lookups' hit/miss verdicts must
+// account for every lookup exactly once.
 func TestDecompCacheConcurrentStress(t *testing.T) {
-	conc := &stats.Concurrency{}
+	var hits, misses atomic.Int64
 	cache := newDecompCache()
+	lookup := func(key string) (decompEntry, bool) {
+		got, ok := cache.lookup([]byte(key))
+		if ok {
+			hits.Add(1)
+		} else {
+			misses.Add(1)
+		}
+		return got, ok
+	}
 
 	type entry struct {
 		key string
@@ -265,7 +273,7 @@ func TestDecompCacheConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				e := entries[(g*rounds+r)%len(entries)]
-				if got, ok := cache.lookup([]byte(e.key), conc); ok {
+				if got, ok := lookup(e.key); ok {
 					if got.tree != nil && len(got.tree.Nodes) == 0 {
 						t.Errorf("key %q: corrupt cached tree", e.key)
 						return
@@ -279,17 +287,16 @@ func TestDecompCacheConcurrentStress(t *testing.T) {
 	wg.Wait()
 
 	for _, e := range entries {
-		if _, ok := cache.lookup([]byte(e.key), conc); !ok {
+		if _, ok := lookup(e.key); !ok {
 			t.Errorf("key %q missing after stress", e.key)
 		}
 	}
-	snap := conc.Snapshot()
 	lookups := goroutines*rounds + len(entries)
-	if snap.CacheHits+snap.CacheMisses != lookups {
+	if int(hits.Load()+misses.Load()) != lookups {
 		t.Errorf("hits %d + misses %d != lookups %d",
-			snap.CacheHits, snap.CacheMisses, lookups)
+			hits.Load(), misses.Load(), lookups)
 	}
-	if snap.CacheMisses < len(entries) {
-		t.Errorf("misses %d cannot be below distinct keys %d", snap.CacheMisses, len(entries))
+	if int(misses.Load()) < len(entries) {
+		t.Errorf("misses %d cannot be below distinct keys %d", misses.Load(), len(entries))
 	}
 }

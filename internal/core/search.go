@@ -7,7 +7,6 @@ import (
 
 	"turbosyn/internal/netlist"
 	"turbosyn/internal/obs"
-	"turbosyn/internal/stats"
 )
 
 // The package-level entry points are thin wrappers over a throwaway Engine:
@@ -81,15 +80,17 @@ func MinimizeContext(ctx context.Context, c *netlist.Circuit, opts Options) (*Re
 // ub must be feasible. Every probe starts cold, from the paper's all-ones
 // lower bound (see DESIGN.md, "Cold probes"). The accumulated statistics
 // cover exactly the probes on the canonical binary-search path, so totals
-// match the sequential search; speculative probes count only through the shared conc counters.
+// match the sequential search; total's ProbesLaunched and ProbesCancelled
+// count every probe, and the work of lost speculative probes shows only in
+// the live view.
 // On an aborting error the returned phi is the best feasible one proven
 // before the abort (-1 when none), so the caller can report partial
 // progress. Every probe checks its state (and through it, worker arenas)
 // out of the engine; newState never runs on this path.
-func (e *Engine) minimizeSearch(ub int, opts Options, total *Stats, conc *stats.Concurrency, guard *runGuard) (int, error) {
+func (e *Engine) minimizeSearch(ub int, opts Options, total *tally, live *obs.Live, guard *runGuard) (int, error) {
 	workers := opts.workerCount()
 	if workers > 1 && opts.IterBudget <= 0 && ub > 2 {
-		return e.speculativeSearch(ub, opts, total, conc, guard, workers)
+		return e.speculativeSearch(ub, opts, total, live, guard, workers)
 	}
 	var ring *obs.Ring
 	if opts.Trace != nil {
@@ -100,13 +101,14 @@ func (e *Engine) minimizeSearch(ub int, opts Options, total *Stats, conc *stats.
 	for lo <= hi {
 		mid := (lo + hi) / 2
 		s := e.checkoutState(mid, opts)
-		s.attach(e.cache, conc, nil)
+		s.attach(e.cache, live, nil)
 		s.guard = guard
 		var t0 int64
 		if ring != nil {
 			t0 = ring.Now()
 		}
-		conc.AddProbeLaunched()
+		total.ProbesLaunched++
+		total.publish(live)
 		ok, err := s.run()
 		if ring != nil {
 			ring.Span(obs.OpProbe, t0, int64(mid), probeVerdict(ok, err))
@@ -115,7 +117,7 @@ func (e *Engine) minimizeSearch(ub int, opts Options, total *Stats, conc *stats.
 			opts.Logger.Debug("probe", "phi", mid, "feasible", ok,
 				"iterations", s.stats.Iterations, "cutChecks", s.stats.CutChecks, "err", err)
 		}
-		total.Add(s.stats)
+		total.merge(&s.stats)
 		if err != nil {
 			e.checkinState(s)
 			return best, err
@@ -143,7 +145,7 @@ type probe struct {
 	done   chan struct{}
 	ok     bool
 	err    error // aborting error (ctx, strict budget, contained panic)
-	stats  Stats
+	stats  tally
 	// Tracing bookkeeping, written only by the search goroutine: the launch
 	// time on the search ring, and whether the probe's span was recorded yet
 	// (midpoints record at acceptance, everything else at the wind-down join).
@@ -170,7 +172,7 @@ type probe struct {
 // every probe ever launched — cancelled lookaheads included — before
 // returning, so no goroutine outlives the search and no probe's error is
 // dropped on the floor.
-func (e *Engine) speculativeSearch(ub int, opts Options, total *Stats, conc *stats.Concurrency, guard *runGuard, workers int) (best int, err error) {
+func (e *Engine) speculativeSearch(ub int, opts Options, total *tally, live *obs.Live, guard *runGuard, workers int) (best int, err error) {
 	// Split the pool between concurrent probes: the midpoint probe is the
 	// one blocking progress, the two lookahead probes ride along. Inner
 	// worker counts never change results, only scheduling.
@@ -222,7 +224,7 @@ func (e *Engine) speculativeSearch(ub int, opts Options, total *Stats, conc *sta
 		}
 		running[phi] = p
 		all = append(all, p)
-		conc.AddProbeLaunched()
+		total.ProbesLaunched++
 		go func() {
 			defer close(p.done)
 			s := e.checkoutState(phi, popts)
@@ -236,7 +238,7 @@ func (e *Engine) speculativeSearch(ub int, opts Options, total *Stats, conc *sta
 					s.fails.fail(p.err)
 				}
 			}()
-			s.attach(e.cache, conc, &p.cancel)
+			s.attach(e.cache, live, &p.cancel)
 			s.guard = guard
 			p.ok, p.err = s.run()
 			p.stats = s.stats
@@ -246,7 +248,7 @@ func (e *Engine) speculativeSearch(ub int, opts Options, total *Stats, conc *sta
 		delete(running, p.phi)
 		if cancelled {
 			p.cancel.Store(true)
-			conc.AddProbeCancelled()
+			total.ProbesCancelled++
 		}
 	}
 
@@ -261,11 +263,12 @@ func (e *Engine) speculativeSearch(ub int, opts Options, total *Stats, conc *sta
 		if right := mid + 1; right <= hi && len(running) < maxProbes {
 			launch((right + hi) / 2)
 		}
+		total.publish(live)
 		p := running[mid]
 		<-p.done
 		drop(p, false)
 		record(p)
-		total.Add(p.stats)
+		total.merge(&p.stats)
 		if p.err != nil {
 			err = p.err
 			break
@@ -291,8 +294,9 @@ func (e *Engine) speculativeSearch(ub int, opts Options, total *Stats, conc *sta
 	// surfaces here rather than being silently discarded with the probe.
 	for _, q := range running {
 		q.cancel.Store(true)
-		conc.AddProbeCancelled()
+		total.ProbesCancelled++
 	}
+	total.publish(live)
 	for _, q := range all {
 		<-q.done
 		record(q)

@@ -66,3 +66,32 @@ func TestSearchProbesAreCold(t *testing.T) {
 			got.Stats.Iterations, iters)
 	}
 }
+
+// TestCacheLookupsMatchAttempts: every decomposition attempt performs
+// exactly one cache lookup, and Result.Stats counts both over the same
+// probes — at Workers=4 too, where the lookups of lost speculative probes
+// count in neither (on this accumulator some of them reach resynthesis).
+func TestCacheLookupsMatchAttempts(t *testing.T) {
+	tc := goldenCases()[4] // acc12_k5_syn
+	c := tc.build()
+	if !c.IsKBounded(tc.k) {
+		var err error
+		if c, err = decomp.KBound(c, tc.k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		opts := DefaultOptions()
+		opts.K = tc.k
+		opts.Workers = workers
+		res, err := Minimize(c, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if st.DecompAttempts == 0 || st.CacheShardHits+st.CacheShardMisses != st.DecompAttempts {
+			t.Errorf("Workers=%d: cache hits %d + misses %d, decomposition attempts %d",
+				workers, st.CacheShardHits, st.CacheShardMisses, st.DecompAttempts)
+		}
+	}
+}

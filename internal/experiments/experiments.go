@@ -15,7 +15,6 @@ import (
 	"turbosyn/internal/mapper"
 	"turbosyn/internal/netlist"
 	"turbosyn/internal/retime"
-	"turbosyn/internal/stats"
 )
 
 // Config parameterizes a run.
@@ -120,7 +119,7 @@ func Table1(cfg Config) error {
 		return err
 	}
 	fmt.Fprintf(cfg.Out, "Table 1: clock period (MDR ratio) under retiming+pipelining, K=%d\n", cfg.K)
-	t := stats.NewTable("circuit", "class", "gate", "ff",
+	t := NewTable("circuit", "class", "gate", "ff",
 		"fsns.phi", "fsns.cpu", "tm.phi", "tm.cpu", "ts.phi", "ts.cpu")
 	var fsnsPhi, tmPhi, tsPhi []float64
 	for _, r := range rs {
@@ -142,7 +141,7 @@ func Table1(cfg Config) error {
 	t.Render(cfg.Out)
 	fmt.Fprintf(cfg.Out,
 		"geomean period ratio: FlowSYN-s/TurboSYN = %.2f, TurboMap/TurboSYN = %.2f\n",
-		stats.RatioSummary(fsnsPhi, tsPhi), stats.RatioSummary(tmPhi, tsPhi))
+		RatioSummary(fsnsPhi, tsPhi), RatioSummary(tmPhi, tsPhi))
 	fmt.Fprintf(cfg.Out, "paper reports:        FlowSYN-s/TurboSYN = 1.72, TurboMap/TurboSYN = 1.96\n")
 	return nil
 }
@@ -156,7 +155,7 @@ func Table2(cfg Config) error {
 		return err
 	}
 	fmt.Fprintf(cfg.Out, "Table 2: LUT counts after packing, K=%d\n", cfg.K)
-	t := stats.NewTable("circuit", "fsns.luts", "tm.luts", "ts.luts")
+	t := NewTable("circuit", "fsns.luts", "tm.luts", "ts.luts")
 	var fsns, tm, ts []float64
 	for _, r := range rs {
 		t.AddRow(r.Name, r.fsns.LUTs, r.tm.LUTs, r.ts.LUTs)
@@ -167,7 +166,7 @@ func Table2(cfg Config) error {
 	t.Render(cfg.Out)
 	fmt.Fprintf(cfg.Out,
 		"geomean LUT ratio: TurboSYN/FlowSYN-s = %.2f, TurboSYN/TurboMap = %.2f (paper: TurboSYN loses area)\n",
-		stats.RatioSummary(ts, fsns), stats.RatioSummary(ts, tm))
+		RatioSummary(ts, fsns), RatioSummary(ts, tm))
 	return nil
 }
 
@@ -176,7 +175,7 @@ func Table2(cfg Config) error {
 // stopping rule of SeqMapII. The n^2 runs are capped (entries marked '>').
 func TablePLD(cfg Config) error {
 	fmt.Fprintf(cfg.Out, "PLD ablation: infeasible-target probes, K=%d\n", cfg.K)
-	t := stats.NewTable("circuit", "target", "iters.pld", "iters.n2",
+	t := NewTable("circuit", "target", "iters.pld", "iters.n2",
 		"cpu.pld", "cpu.n2", "speedup")
 	rs, err := runSuite(cfg)
 	if err != nil {
@@ -232,7 +231,7 @@ func TablePLD(cfg Config) error {
 	}
 	t.Render(cfg.Out)
 	fmt.Fprintf(cfg.Out, "geomean speedup >= %.1fx (paper reports 10-50x)\n",
-		stats.GeoMean(speedups))
+		GeoMean(speedups))
 	return nil
 }
 
@@ -240,7 +239,7 @@ func TablePLD(cfg Config) error {
 // of over 10^4 gates and 10^3 flipflops "in reasonable time".
 func TableScale(cfg Config) error {
 	fmt.Fprintf(cfg.Out, "Scale: full TurboSYN minimization, K=%d\n", cfg.K)
-	t := stats.NewTable("circuit", "gates", "ffs", "phi", "luts", "cpu")
+	t := NewTable("circuit", "gates", "ffs", "phi", "luts", "cpu")
 	for _, c := range scaleCases(cfg) {
 		start := time.Now()
 		res, err := core.Minimize(c, turboSYNOpts(cfg.K))
@@ -259,7 +258,7 @@ func TableScale(cfg Config) error {
 func TableK(cfg Config) error {
 	subset := map[string]bool{"bbara": true, "keyb": true, "s420": true, "s838": true}
 	fmt.Fprintln(cfg.Out, "K sweep: TurboSYN period/LUTs for K = 3..6")
-	t := stats.NewTable("circuit", "k3.phi", "k3.luts", "k4.phi", "k4.luts",
+	t := NewTable("circuit", "k3.phi", "k3.luts", "k4.phi", "k4.luts",
 		"k5.phi", "k5.luts", "k6.phi", "k6.luts")
 	for _, cs := range bench.Suite() {
 		if !subset[cs.Name] {
@@ -278,7 +277,7 @@ func TableK(cfg Config) error {
 	t.Render(cfg.Out)
 
 	fmt.Fprintf(cfg.Out, "\nLowDepth ablation (expansion through cut candidates), K=%d\n", cfg.K)
-	t2 := stats.NewTable("circuit", "low0.phi", "low0.luts", "low3.phi", "low3.luts",
+	t2 := NewTable("circuit", "low0.phi", "low0.luts", "low3.phi", "low3.luts",
 		"low6.phi", "low6.luts")
 	for _, cs := range bench.Suite() {
 		if !subset[cs.Name] {
@@ -349,7 +348,7 @@ func TablePeriod(cfg Config) error {
 		"s420": true, "s838": true, "s1423": true,
 	}
 	fmt.Fprintf(cfg.Out, "Clock-period objective (no pipelining), K=%d\n", cfg.K)
-	t := stats.NewTable("circuit", "period", "retimed", "mapped+retimed", "cpu")
+	t := NewTable("circuit", "period", "retimed", "mapped+retimed", "cpu")
 	for _, cs := range bench.Suite() {
 		if !subset[cs.Name] {
 			continue

@@ -97,42 +97,29 @@ func (m *Metrics) Latest() Snapshot {
 // expvar.Publish(..., expvar.Func(m.Expvar)).
 func (m *Metrics) Expvar() any { return m.Latest() }
 
-// gauges lists the exported numeric series in stable order.
-func (s Snapshot) gauges() []struct {
-	name, help string
-	value      float64
-} {
-	b := func(v bool) float64 {
-		if v {
-			return 1
-		}
-		return 0
+// gauges lists the exported numeric series, sorted by name: the snapshot's
+// own three and one per CounterTable entry.
+func (s Snapshot) gauges() []gauge {
+	done := 0.0
+	if s.Done {
+		done = 1
 	}
-	return []struct {
-		name, help string
-		value      float64
-	}{
+	gs := []gauge{
 		{"turbosyn_elapsed_seconds", "wall time since the run started", s.Elapsed.Seconds()},
 		{"turbosyn_best_phi", "smallest feasible phi proven so far (-1 = none)", float64(s.BestPhi)},
-		{"turbosyn_done", "1 once the run has delivered its final snapshot", b(s.Done)},
-		{"turbosyn_workers", "effective worker-pool size", float64(s.Workers)},
-		{"turbosyn_nodes_labeled_total", "member visits performed by label sweeps", float64(s.NodesLabeled)},
-		{"turbosyn_nodes_skipped_total", "member visits elided by the dirty-set worklist", float64(s.NodesSkipped)},
-		{"turbosyn_iterations_total", "label-update passes over SCC members", float64(s.Iterations)},
-		{"turbosyn_probes_launched_total", "feasibility probes started", float64(s.ProbesLaunched)},
-		{"turbosyn_probes_finished_total", "feasibility probes completed", float64(s.ProbesFinished)},
-		{"turbosyn_ready_queue_depth", "current dataflow ready-queue depth", float64(s.ReadyQueueDepth)},
-		{"turbosyn_ready_queue_depth_peak", "ready-queue depth high-water mark", float64(s.QueueDepthPeak)},
-		{"turbosyn_worklist_depth", "dirty members drained by the last fast pass", float64(s.WorklistDepth)},
-		{"turbosyn_worklist_depth_peak", "largest fast-pass worklist drain", float64(s.WorklistPeak)},
-		{"turbosyn_degradations_total", "budget exhaustions absorbed", float64(s.Degradations)},
-		{"turbosyn_arena_peak_bytes", "busiest scratch arena footprint", float64(s.ArenaPeakBytes)},
-		{"turbosyn_cache_hits_total", "decomposition-cache hits", float64(s.CacheHits)},
-		{"turbosyn_cache_misses_total", "decomposition-cache misses", float64(s.CacheMisses)},
-		{"turbosyn_cache_persisted_hits_total", "decomposition-cache hits served from the persisted log", float64(s.CachePersisted)},
-		{"turbosyn_trace_events_total", "trace events recorded", float64(s.TraceEvents)},
-		{"turbosyn_trace_dropped_total", "trace events lost to ring wrap", float64(s.TraceDropped)},
+		{"turbosyn_done", "1 once the run has delivered its final snapshot", done},
 	}
+	v := s.Stats.vals()
+	for i, c := range CounterTable {
+		gs = append(gs, gauge{c.Name, c.Help, float64(v[i])})
+	}
+	sort.Slice(gs, func(i, j int) bool { return gs[i].name < gs[j].name })
+	return gs
+}
+
+type gauge struct {
+	name, help string
+	value      float64
 }
 
 // ServeHTTP writes the latest snapshot in Prometheus text exposition format.
@@ -142,9 +129,7 @@ func (m *Metrics) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# HELP turbosyn_run_info run identity (labels carry the run id and phase)\n")
 	fmt.Fprintf(w, "# TYPE turbosyn_run_info gauge\n")
 	fmt.Fprintf(w, "turbosyn_run_info{run_id=%q,phase=%q} 1\n", s.RunID, s.Phase)
-	gs := s.gauges()
-	sort.SliceStable(gs, func(i, j int) bool { return gs[i].name < gs[j].name })
-	for _, g := range gs {
+	for _, g := range s.gauges() {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", g.name, g.help, g.name, g.name, g.value)
 	}
 }

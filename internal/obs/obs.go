@@ -1,5 +1,6 @@
-// Package obs is the synthesis engine's observability layer: a run-scoped
-// span/event recorder (exported as Chrome/Perfetto trace JSON), a
+// Package obs is the synthesis engine's observability layer: the Stats
+// counter record with its CounterTable, a run-scoped span/event recorder
+// (exported as Chrome/Perfetto trace JSON), pprof phase labels, a
 // rate-limited progress tracker delivering periodic counter snapshots, and a
 // live-metrics surface (expvar + Prometheus text) built from those
 // snapshots.
@@ -18,9 +19,11 @@
 package obs
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,8 +34,8 @@ import (
 // degradations, cancellation).
 type Op uint8
 
-// Recorded operations. The first five mirror the pprof phase labels of
-// internal/prof; the engine switches between them inside the label kernel.
+// Recorded operations. The first five are the pprof phase labels (see
+// Phase); the engine switches between them inside the label kernel.
 const (
 	// OpLabel is the sweep bookkeeping between instrumented stages. Phase
 	// switches to OpLabel close the current stage span without opening a new
@@ -174,10 +177,13 @@ func (r *Recorder) NewRing(label string) *Ring {
 // Totals reports how many events were recorded across all rings and how
 // many of them were overwritten by ring wrap-around (dropped from the
 // trace). Safe to call while ring owners are still appending — the counts
-// are atomic and monotone, so a mid-run read (the progress sampler's) is at
+// are atomic and monotone, so a mid-run read (a progress snapshot's) is at
 // worst slightly stale. The event *contents* (Events, WriteTrace) still
-// require quiescent rings.
+// require quiescent rings. A nil recorder reports zeros.
 func (r *Recorder) Totals() (events, dropped int) {
+	if r == nil {
+		return 0, 0
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, ring := range r.rings {
@@ -234,6 +240,50 @@ func (r *Ring) Phase(op Op, a int64) {
 	}
 	if op != OpLabel {
 		r.phaseOp, r.phaseStart, r.phaseA, r.phaseOpen = op, now, a, true
+	}
+}
+
+// pprofLabels switches Phase's pprof goroutine labelling. With it on, CPU
+// profiles break down by the "phase" label — expand (E_v construction),
+// flow (K-cut max-flow), decompose (Roth–Karp resynthesis), pld (positive
+// loop detection) and label (everything else in the sweep) — so
+// `go tool pprof -tagfocus phase=flow` isolates one stage.
+var pprofLabels atomic.Bool
+
+// phaseCtx holds one pre-built label context per Op, so labelling
+// allocates nothing; ops beyond the stages share the "label" context.
+var phaseCtx [NumOps]context.Context
+
+func init() {
+	for op := range phaseCtx {
+		name := OpLabel.String()
+		if Op(op) <= OpPLD {
+			name = Op(op).String()
+		}
+		phaseCtx[op] = pprof.WithLabels(context.Background(), pprof.Labels("phase", name))
+	}
+}
+
+// EnablePprofLabels turns Phase's pprof labelling on or off (cmd/turbosyn
+// turns it on with -cpuprofile).
+func EnablePprofLabels(on bool) { pprofLabels.Store(on) }
+
+// Phase switches the calling worker's engine stage on both observability
+// planes: its pprof goroutine label when labelling is on, and ring's stage
+// span (see Ring.Phase) when ring is non-nil. With both off it inlines to
+// two predictable branches and allocates nothing.
+func Phase(ring *Ring, op Op, a int64) {
+	if pprofLabels.Load() || ring != nil {
+		phaseOn(ring, op, a)
+	}
+}
+
+func phaseOn(ring *Ring, op Op, a int64) {
+	if pprofLabels.Load() {
+		pprof.SetGoroutineLabels(phaseCtx[op])
+	}
+	if ring != nil {
+		ring.Phase(op, a)
 	}
 }
 

@@ -106,7 +106,7 @@ func TestProgressFinishDeliversOnce(t *testing.T) {
 	p.Start()
 	p.SetPhase("search")
 	p.SetBestPhi(4)
-	p.SetSampler(func() Counters { return Counters{Iterations: 9} })
+	p.Track(nil).Publish(&Stats{Iterations: 9}, &Stats{})
 	final := p.Finish("boom")
 	p.Finish("boom again") // idempotent: no second delivery
 	p.SetPhase("late")     // post-finish mutations must not emit
@@ -126,28 +126,69 @@ func TestNilProgressIsSafe(t *testing.T) {
 	var p *Progress
 	p.SetPhase("x")
 	p.SetBestPhi(1)
-	p.SetSampler(func() Counters { return Counters{} })
+	if l := p.Track(nil); l != nil {
+		t.Fatalf("nil Track = %v, want nil", l)
+	}
+	var live *Live
+	live.Publish(&Stats{Iterations: 1}, &Stats{}) // no tracker: a no-op
 	p.Start()
 	if s := p.Finish(""); s != (Snapshot{}) {
 		t.Fatalf("nil Finish = %+v", s)
 	}
 }
 
+// TestMetricsPrometheusText: /metrics exports the snapshot's own gauges
+// and one series per CounterTable entry, keeps every series name earlier
+// releases exported, and drops the three live-only gauges.
 func TestMetricsPrometheusText(t *testing.T) {
 	m := &Metrics{}
 	m.Update(Snapshot{RunID: "r1", Phase: "search", BestPhi: 3,
-		Counters: Counters{Iterations: 12, Workers: 4}})
+		Stats: Stats{Iterations: 12, Workers: 4}})
 	w := httptest.NewRecorder()
 	m.ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
 	body := w.Body.String()
 	for _, want := range []string{
 		"turbosyn_iterations_total 12",
+		"turbosyn_workers 4",
 		"turbosyn_best_phi 3",
 		`turbosyn_run_info{run_id="r1",phase="search"} 1`,
 		"# TYPE turbosyn_workers gauge",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output lacks %q:\n%s", want, body)
+		}
+	}
+	series := map[string]int{}
+	for _, line := range strings.Split(body, "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			series[strings.Fields(name)[0]]++
+		}
+	}
+	if want := 1 + 3 + len(CounterTable); len(series) != want {
+		t.Errorf("%d series, want run_info + 3 snapshot gauges + %d counters = %d", len(series), len(CounterTable), want)
+	}
+	for _, c := range CounterTable {
+		if series[c.Name] != 1 {
+			t.Errorf("counter %s: series %s exported %d times, want once", c.Field, c.Name, series[c.Name])
+		}
+	}
+	for _, name := range []string{
+		"turbosyn_elapsed_seconds", "turbosyn_best_phi", "turbosyn_done",
+		"turbosyn_workers", "turbosyn_nodes_labeled_total", "turbosyn_nodes_skipped_total",
+		"turbosyn_iterations_total", "turbosyn_probes_launched_total",
+		"turbosyn_ready_queue_depth_peak", "turbosyn_worklist_depth_peak",
+		"turbosyn_degradations_total", "turbosyn_arena_peak_bytes",
+		"turbosyn_cache_hits_total", "turbosyn_cache_misses_total",
+		"turbosyn_cache_persisted_hits_total", "turbosyn_trace_events_total",
+		"turbosyn_trace_dropped_total",
+	} {
+		if series[name] != 1 {
+			t.Errorf("series %s exported %d times, want once", name, series[name])
+		}
+	}
+	for _, name := range []string{"turbosyn_ready_queue_depth", "turbosyn_worklist_depth", "turbosyn_probes_finished_total"} {
+		if series[name] != 0 {
+			t.Errorf("dropped live-only series %s is still exported", name)
 		}
 	}
 }

@@ -6,29 +6,6 @@ import (
 	"time"
 )
 
-// Counters is the live-counter part of a progress snapshot, sampled from the
-// engine's shared atomic counter set (stats.Concurrency plus the trace
-// recorder's totals) at delivery time.
-type Counters struct {
-	Workers         int // effective worker-pool size
-	NodesLabeled    int // member visits performed across all label sweeps
-	NodesSkipped    int // member visits elided by the dirty-set worklist
-	Iterations      int // label-update passes over SCC members
-	ProbesLaunched  int // feasibility probes started
-	ProbesFinished  int // feasibility probes completed (any verdict)
-	ReadyQueueDepth int // current dataflow ready-queue depth
-	QueueDepthPeak  int // ready-queue depth high-water mark
-	WorklistDepth   int // dirty members drained by the last fast pass
-	WorklistPeak    int // largest fast-pass worklist drain so far
-	Degradations    int // budget exhaustions absorbed so far
-	ArenaPeakBytes  int // busiest scratch arena's high-water footprint
-	CacheHits       int // decomposition-cache hits
-	CacheMisses     int // decomposition-cache misses
-	CachePersisted  int // hits served by entries loaded from a persisted cache log
-	TraceEvents     int // events recorded by the trace recorder (0 when off)
-	TraceDropped    int // events lost to ring wrap-around
-}
-
 // Snapshot is one progress report: where the run is (phase, best phi so
 // far), how long it has been going, and the live work counters. The final
 // snapshot of a run has Done == true and, when the run aborted, Err set to
@@ -43,7 +20,7 @@ type Snapshot struct {
 	BestPhi int // smallest feasible phi proven so far, -1 when none
 	Done    bool
 	Err     string // abort reason when Done and the run failed, else ""
-	Counters
+	Stats          // the live counters (see Live)
 }
 
 // Progress drives a rate-limited snapshot stream: a ticker goroutine
@@ -60,7 +37,7 @@ type Progress struct {
 
 	phase   atomic.Pointer[string]
 	bestPhi atomic.Int64
-	sampler atomic.Pointer[func() Counters]
+	live    atomic.Pointer[Live]
 
 	deliver  sync.Mutex // serializes callback invocations
 	stop     chan struct{}
@@ -110,13 +87,16 @@ func (p *Progress) SetBestPhi(phi int) {
 	p.bestPhi.Store(int64(phi))
 }
 
-// SetSampler installs the engine's live-counter source; until one is set,
-// snapshots carry zero Counters.
-func (p *Progress) SetSampler(fn func() Counters) {
-	if p == nil || fn == nil {
-		return
+// Track starts a fresh live Stats for one engine call, whose trace totals
+// come from rec (nil when not tracing), and returns it for the engine to
+// publish into; snapshots read it from then on. A nil tracker returns nil.
+func (p *Progress) Track(rec *Recorder) *Live {
+	if p == nil {
+		return nil
 	}
-	p.sampler.Store(&fn)
+	l := &Live{rec: rec}
+	p.live.Store(l)
+	return l
 }
 
 // Start launches the ticker goroutine. Finish must be called to join it.
@@ -177,8 +157,8 @@ func (p *Progress) snapshot() Snapshot {
 	if ph := p.phase.Load(); ph != nil {
 		s.Phase = *ph
 	}
-	if fn := p.sampler.Load(); fn != nil {
-		s.Counters = (*fn)()
+	if l := p.live.Load(); l != nil {
+		s.Stats = l.Load()
 	}
 	return s
 }

@@ -130,6 +130,31 @@ func TestObservabilityBitIdentical(t *testing.T) {
 	}
 }
 
+// TestProgressFinalStatsMatchResult: the live view and Result.Stats are the
+// same counters, so at Workers=1 — where every probe is on the canonical
+// search path — the final Done snapshot carries exactly Result.Stats, trace
+// totals included.
+func TestProgressFinalStatsMatchResult(t *testing.T) {
+	var final ProgressSnapshot
+	res, err := Synthesize(obsCircuit(), Options{
+		Workers:  1,
+		Trace:    NewTraceRecorder(0),
+		Progress: func(s ProgressSnapshot) { final = s },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !final.Done {
+		t.Fatal("last snapshot is not the Done one")
+	}
+	if final.Stats != res.Stats {
+		t.Fatalf("final snapshot Stats\n%+v\nResult.Stats\n%+v", final.Stats, res.Stats)
+	}
+	if res.Stats.Iterations == 0 || res.Stats.TraceEvents == 0 {
+		t.Fatalf("counters empty: %+v", res.Stats)
+	}
+}
+
 // TestProgressFinalSnapshot: the snapshot stream ends with exactly one Done
 // snapshot — delivered before Synthesize returns — carrying the run's final
 // phi and work counters; an aborted run's Done snapshot carries the reason.
@@ -176,8 +201,8 @@ func TestProgressFinalSnapshot(t *testing.T) {
 	if final.BestPhi != res.Phi {
 		t.Errorf("final BestPhi = %d, result phi %d", final.BestPhi, res.Phi)
 	}
-	if final.Iterations == 0 || final.ProbesFinished == 0 {
-		t.Errorf("final counters empty: %+v", final.Counters)
+	if final.Iterations == 0 || final.ProbesLaunched == 0 {
+		t.Errorf("final counters empty: %+v", final.Stats)
 	}
 	for _, want := range []string{"search", "map", "pack", "realize"} {
 		if !phases[want] {

@@ -449,9 +449,6 @@ func synthesizeOn(ctx context.Context, eng *core.Engine, c, work *Circuit, o Opt
 	} else {
 		out.Latency = make([]int, len(out.Mapped.POs))
 	}
-	if o.Trace != nil {
-		out.Stats.TraceEvents, out.Stats.TraceDropped = o.Trace.Totals()
-	}
 	if logger != nil {
 		logger.Info("synthesis done", "phi", out.Phi, "luts", out.LUTs,
 			"iterations", out.Stats.Iterations, "degradations", out.Stats.Degradations)
